@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .labels import Structure, endplate_id, ivd_id
-from .volume import Volume, bounding_box, connected_components, window_view
+from .volume import Volume, bounding_box, connected_components, label_centroids, window_view
 
 CUTOUT_SIZE = (248, 304, 64)
 
@@ -234,44 +234,63 @@ def reconcile(groups: list[VertebraGroup], dims) -> tuple[np.ndarray, ReconcileS
     return out, stats
 
 
+def vertebra_heights(semantic: np.ndarray, instance: np.ndarray) -> dict[int, float]:
+    """Superior-inferior centroid (axis 1) of each vertebra id 1..99 present.
+
+    A vertebra's centroid is the mean over its corpus voxels, or over all
+    of its voxels when it has no corpus voxel.
+    """
+    vertebrae = np.where((instance >= 1) & (instance < 100), instance, 0)
+    counts, centroids = label_centroids(vertebrae, 99)
+    corpus_counts, corpus_centroids = label_centroids(
+        np.where(semantic == Structure.CORPUS, vertebrae, 0), 99
+    )
+    return {
+        int(i) + 1: float((corpus_centroids if corpus_counts[i] else centroids)[i, 1])
+        for i in np.flatnonzero(counts)
+    }
+
+
+def vertebra_above(heights: dict[int, float], y: float) -> tuple[int, bool]:
+    """The vertebra whose centroid sits superior to height ``y`` at minimal
+    vertical distance, ties to the smaller id; ``(vertebra, flagged)``.
+
+    With no vertebra above, the topmost vertebra is returned and flagged.
+    """
+    above = [v for v in heights if heights[v] < y]
+    if above:
+        return min(above, key=lambda v: (y - heights[v], v)), False
+    return min(heights, key=lambda v: (heights[v], v)), True
+
+
 def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndarray):
     """Give disc and endplate components ids keyed to the vertebra above.
 
     Each connected component of the disc (endplate) class takes id 100+k
-    (200+k), where k is the vertebra instance whose corpus centroid sits
-    superior to the component centroid at minimal vertical distance. A
-    component with no vertebra above falls back to the topmost vertebra
-    and is flagged.
+    (200+k) on its voxels not yet claimed, where k is the vertebra that
+    ``vertebra_above`` picks for the component's centroid. A component
+    with no vertebra above is keyed to the topmost vertebra and flagged.
     """
     inst = vertebra_instances.copy()
-    ids = sorted(int(v) for v in np.unique(inst) if 1 <= v < 100)
+    heights = vertebra_heights(semantic.data, inst)
     flags = []
-    if not ids:
+    if not heights:
         return inst, [
             {"kind": "unassigned", "reason": "no vertebra instances", "code": int(code)}
             for code in (Structure.IVD, Structure.ENDPLATE)
             if (semantic.data == code).any()
         ]
 
-    centroid_y = {}
-    for vid in ids:
-        corpus = (semantic.data == Structure.CORPUS) & (inst == vid)
-        sel = corpus if corpus.any() else inst == vid
-        centroid_y[vid] = float(np.nonzero(sel)[1].mean())
-    topmost = min(ids, key=lambda v: centroid_y[v])
-
     for code, id_for in ((Structure.IVD, ivd_id), (Structure.ENDPLATE, endplate_id)):
         comps = connected_components(semantic.data == code, connectivity=26)
-        for ci in range(1, comps.count + 1):
-            comp = comps.labels == ci
-            cy = comps.centroids[ci - 1][1]
-            above = [v for v in ids if centroid_y[v] < cy]
-            if above:
-                k = min(above, key=lambda v: (cy - centroid_y[v], v))
-            else:
-                k = topmost
+        lut = np.zeros(comps.count + 1, dtype=inst.dtype)
+        for ci, centroid in enumerate(comps.centroids, start=1):
+            k, flagged = vertebra_above(heights, centroid[1])
+            if flagged:
                 flags.append({"kind": "no_vertebra_above", "code": int(code), "assigned_to": k})
-            inst[comp & (inst == 0)] = id_for(k)
+            lut[ci] = id_for(k)
+        free = (comps.labels > 0) & (inst == 0)
+        inst[free] = lut[comps.labels[free]]
     return inst, flags
 
 

@@ -35,11 +35,6 @@ class Structure(IntEnum):
     SACRUM = 14
 
 
-#: Structures that get merged instances derived from the semantic mask only.
-SINGLE_INSTANCE_CODES = frozenset(
-    {Structure.SPINAL_CANAL, Structure.SPINAL_CORD, Structure.SACRUM}
-)
-
 IVD_ID_BASE = 100
 ENDPLATE_ID_BASE = 200
 
@@ -100,10 +95,6 @@ def label_map() -> list[dict]:
         kind = _KIND_BY_CODE.get(member, "vertebra_substructure")
         entries.append({"code": int(member), "name": member.name.lower(), "kind": kind})
     return entries
-
-
-def name_to_code() -> dict[str, int]:
-    return {member.name.lower(): int(member) for member in Structure}
 
 
 def write_labels_json(path: str | Path) -> None:

@@ -14,35 +14,15 @@ import numpy as np
 from scipy import ndimage as ndi
 
 from .labels import Structure, classify_instance_id
-from .volume import Volume
+from .volume import Volume, as_array, check_same_grid
 
 INSTANCE_KINDS = ("vertebra", "ivd", "endplate")
 
 
-def _as_mask(x) -> np.ndarray:
-    if isinstance(x, Volume):
-        x = x.data
-    return np.asarray(x) != 0
-
-
-def _check_compatible(a, b) -> None:
-    if isinstance(a, Volume) and isinstance(b, Volume):
-        if not a.same_grid(b):
-            raise ValueError(
-                f"volumes live on different grids: {a.dims}/{a.spacing}/{a.orientation}"
-                f" vs {b.dims}/{b.spacing}/{b.orientation}"
-            )
-    else:
-        sa = a.dims if isinstance(a, Volume) else np.asarray(a).shape
-        sb = b.dims if isinstance(b, Volume) else np.asarray(b).shape
-        if tuple(sa) != tuple(sb):
-            raise ValueError(f"mask shapes differ: {tuple(sa)} vs {tuple(sb)}")
-
-
 def dice(a, b) -> float:
     """Dice similarity 2|A∩B| / (|A|+|B|); 1.0 when both masks are empty."""
-    _check_compatible(a, b)
-    ma, mb = _as_mask(a), _as_mask(b)
+    check_same_grid(a, b)
+    ma, mb = as_array(a) != 0, as_array(b) != 0
     size = int(ma.sum()) + int(mb.sum())
     if size == 0:
         return 1.0
@@ -51,8 +31,8 @@ def dice(a, b) -> float:
 
 def iou(a, b) -> float:
     """Intersection over union; 1.0 when both masks are empty."""
-    _check_compatible(a, b)
-    ma, mb = _as_mask(a), _as_mask(b)
+    check_same_grid(a, b)
+    ma, mb = as_array(a) != 0, as_array(b) != 0
     union = int((ma | mb).sum())
     if union == 0:
         return 1.0
@@ -61,7 +41,7 @@ def iou(a, b) -> float:
 
 def surface_mask(mask: np.ndarray) -> np.ndarray:
     """Foreground voxels with a 6-neighbor background voxel or volume edge."""
-    m = _as_mask(mask)
+    m = as_array(mask) != 0
     padded = np.pad(m, 1, constant_values=False)
     interior = np.ones(m.shape, dtype=bool)
     for axis in range(3):
@@ -78,7 +58,7 @@ def assd(a, b, spacing=None) -> float:
     Surfaces are the 6-neighborhood boundaries of each mask; distances are
     exact Euclidean, averaged over both surface-to-surface directions.
     """
-    _check_compatible(a, b)
+    check_same_grid(a, b)
     if spacing is None:
         if isinstance(a, Volume):
             spacing = a.spacing
@@ -86,7 +66,7 @@ def assd(a, b, spacing=None) -> float:
             spacing = b.spacing
         else:
             spacing = (1.0, 1.0, 1.0)
-    ma, mb = _as_mask(a), _as_mask(b)
+    ma, mb = as_array(a) != 0, as_array(b) != 0
     if not ma.any() or not mb.any():
         raise ValueError("surface distance is undefined for an empty mask")
     sa, sb = surface_mask(ma), surface_mask(mb)
@@ -127,12 +107,6 @@ class InstanceMatching:
         return len(self.unmatched_ref)
 
 
-def _instance_arrays(pred, ref) -> tuple[np.ndarray, np.ndarray]:
-    pa = pred.data if isinstance(pred, Volume) else np.asarray(pred)
-    ra = ref.data if isinstance(ref, Volume) else np.asarray(ref)
-    return pa, ra
-
-
 def _ids_of_kind(arr: np.ndarray, kind: str | None) -> list[int]:
     ids = [int(v) for v in np.unique(arr) if v != 0]
     if kind is None:
@@ -148,8 +122,8 @@ def match_instances(pred, ref, kind: str | None = None, threshold: float = 0.5) 
     greedy order only arbitrates exact-threshold ties. ``kind`` restricts
     the matching to one id family (vertebra, ivd, endplate).
     """
-    _check_compatible(pred, ref)
-    pa, ra = _instance_arrays(pred, ref)
+    check_same_grid(pred, ref)
+    pa, ra = as_array(pred), as_array(ref)
     pred_ids = _ids_of_kind(pa, kind)
     ref_ids = _ids_of_kind(ra, kind)
     if kind is not None:
@@ -158,8 +132,8 @@ def match_instances(pred, ref, kind: str | None = None, threshold: float = 0.5) 
         pa = np.where(keep_p, pa, 0)
         ra = np.where(keep_r, ra, 0)
 
-    pred_sizes = {v: int((pa == v).sum()) for v in pred_ids}
-    ref_sizes = {v: int((ra == v).sum()) for v in ref_ids}
+    pred_sizes = np.bincount(pa[pa > 0].astype(np.intp))
+    ref_sizes = np.bincount(ra[ra > 0].astype(np.intp))
 
     both = (pa > 0) & (ra > 0)
     candidates = []
@@ -169,7 +143,7 @@ def match_instances(pred, ref, kind: str | None = None, threshold: float = 0.5) 
         base = int(ra.max()) + 1
         for key, inter in zip(uniq, counts):
             p, r = int(key) // base, int(key) % base
-            union = pred_sizes[p] + ref_sizes[r] - int(inter)
+            union = int(pred_sizes[p]) + int(ref_sizes[r]) - int(inter)
             value = int(inter) / union
             if value >= threshold:
                 candidates.append((p, r, value))
@@ -294,8 +268,8 @@ def wilcoxon_signed_rank(x, y, exact_limit: int = 25) -> WilcoxonResult:
 
 def semantic_report(pred, ref, spacing=None, codes=None) -> dict:
     """Per-structure DSC (always) and ASSD (when both sides non-empty)."""
-    _check_compatible(pred, ref)
-    pa, ra = _instance_arrays(pred, ref)
+    check_same_grid(pred, ref)
+    pa, ra = as_array(pred), as_array(ref)
     if spacing is None and isinstance(pred, Volume):
         spacing = pred.spacing
     if codes is None:
@@ -316,8 +290,8 @@ def semantic_report(pred, ref, spacing=None, codes=None) -> dict:
 
 def instance_report(pred, ref, spacing=None, kinds=INSTANCE_KINDS) -> dict:
     """Panoptic scores plus global/instance-wise DSC and ASSD per id family."""
-    _check_compatible(pred, ref)
-    pa, ra = _instance_arrays(pred, ref)
+    check_same_grid(pred, ref)
+    pa, ra = as_array(pred), as_array(ref)
     if spacing is None and isinstance(pred, Volume):
         spacing = pred.spacing
     out = {}

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.ndimage as ndi
 
+from .assembly import vertebra_above, vertebra_heights
 from .labels import (
     Structure,
     endplate_id,
     instance_relevant_codes,
     ivd_id,
 )
-from .volume import Volume, bounding_box, connected_components, fill_holes
+from .volume import Volume, as_array, check_same_grid, connected_components, fill_holes
 
 _RELEVANT = sorted(instance_relevant_codes())
 _RELEVANT_LO, _RELEVANT_HI = _RELEVANT[0], _RELEVANT[-1]
@@ -43,46 +44,35 @@ class ConsistencyReport:
         }
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Volume) else np.asarray(x)
-
-
-def _check_grids(semantic, instance):
-    if isinstance(semantic, Volume) and isinstance(instance, Volume):
-        if not semantic.same_grid(instance):
-            raise ValueError("semantic and instance volumes live on different grids")
-    elif _as_array(semantic).shape != _as_array(instance).shape:
-        raise ValueError("semantic and instance masks have different shapes")
-
-
 def _relevant_mask(sem: np.ndarray) -> np.ndarray:
     return (sem >= _RELEVANT_LO) & (sem <= _RELEVANT_HI)
 
 
 def foreground_equal(semantic, instance) -> bool:
     """True iff instance-bearing semantic foreground == instance foreground."""
-    _check_grids(semantic, instance)
-    sem, inst = _as_array(semantic), _as_array(instance)
+    check_same_grid(semantic, instance)
+    sem, inst = as_array(semantic), as_array(instance)
     return bool(np.array_equal(_relevant_mask(sem), inst > 0))
 
 
-def _fill_label_holes(arr: np.ndarray, value: int) -> int:
-    """Fill enclosed cavities of one label in place; returns voxels added.
+def _fill_label_holes(arr: np.ndarray) -> int:
+    """Fill enclosed cavities of each label in ascending order, in place;
+    returns voxels added.
 
-    Working inside the label's bounding box is exact: a cavity is
-    surrounded by the label, so it cannot reach past the tight box.
+    Working inside a label's bounding box is exact: a cavity is surrounded
+    by the label, so it cannot reach past the tight box. Filling only turns
+    background into the label being filled, so no label's voxels change and
+    the boxes taken before the loop stay exact.
     """
-    mask = arr == value
-    box = bounding_box(mask)
-    if box is None:
-        return 0
-    crop = mask[box]
-    filled = fill_holes(crop)
-    add = filled & (arr[box] == 0)
-    n = int(add.sum())
-    if n:
-        arr[box][add] = value
-    return n
+    added = 0
+    for value, box in enumerate(ndi.find_objects(arr), start=1):
+        if box is None:
+            continue
+        crop = arr[box]
+        add = fill_holes(crop == value) & (crop == 0)
+        crop[add] = value
+        added += int(add.sum())
+    return added
 
 
 def _neighbor_majority(inst: np.ndarray, comp: np.ndarray, box) -> int:
@@ -106,17 +96,15 @@ def enforce_consistency(semantic, instance):
     Inputs are not modified. Works on Volumes or plain arrays; Volume
     inputs come back as Volumes on the same grid.
     """
-    _check_grids(semantic, instance)
+    check_same_grid(semantic, instance)
     sem_vol = semantic if isinstance(semantic, Volume) else None
     inst_vol = instance if isinstance(instance, Volume) else None
-    sem = _as_array(semantic).copy()
-    inst = _as_array(instance).copy()
+    sem = as_array(semantic).copy()
+    inst = as_array(instance).copy()
     report = ConsistencyReport()
 
-    for code in sorted(int(c) for c in np.unique(sem) if c != 0):
-        report.holes_filled += _fill_label_holes(sem, code)
-    for vid in sorted(int(v) for v in np.unique(inst) if v != 0):
-        report.holes_filled += _fill_label_holes(inst, vid)
+    report.holes_filled += _fill_label_holes(sem)
+    report.holes_filled += _fill_label_holes(inst)
 
     relevant = _relevant_mask(sem)
     has_vertebra = bool(((inst >= 1) & (inst < 100) & relevant).any())
@@ -126,8 +114,7 @@ def enforce_consistency(semantic, instance):
         # then fill again so the demotion leaves no enclosed pockets
         report.demoted_semantic = int(relevant.sum())
         sem[relevant] = 0
-        for code in sorted(int(c) for c in np.unique(sem) if c != 0):
-            report.holes_filled += _fill_label_holes(sem, code)
+        report.holes_filled += _fill_label_holes(sem)
 
     stray = (inst > 0) & ~_relevant_mask(sem)
     report.zeroed = int(stray.sum())
@@ -135,14 +122,7 @@ def enforce_consistency(semantic, instance):
 
     orphan = _relevant_mask(sem) & (inst == 0)
     if orphan.any():
-        vertebra_ids = sorted(int(v) for v in np.unique(inst) if 1 <= v < 100)
-        centroid_y = {}
-        for vid in vertebra_ids:
-            corpus = (sem == Structure.CORPUS) & (inst == vid)
-            sel = corpus if corpus.any() else inst == vid
-            centroid_y[vid] = float(np.nonzero(sel)[1].mean())
-        topmost = min(vertebra_ids, key=lambda v: centroid_y[v])
-
+        heights = vertebra_heights(sem, inst)
         comps = connected_components(orphan, connectivity=26)
         for ci in range(1, comps.count + 1):
             box = comps.bboxes[ci - 1]
@@ -154,9 +134,7 @@ def enforce_consistency(semantic, instance):
             target = _neighbor_majority(inst, comp, box)
             if target == 0:
                 # no instance contact: key to the nearest vertebra above
-                cy = comps.centroids[ci - 1][1]
-                above = [v for v in vertebra_ids if centroid_y[v] < cy]
-                k = min(above, key=lambda v: (cy - centroid_y[v], v)) if above else topmost
+                k, _ = vertebra_above(heights, comps.centroids[ci - 1][1])
                 codes = sem[box][comp]
                 dominant = int(np.argmax(np.bincount(codes)))
                 if dominant == Structure.IVD:

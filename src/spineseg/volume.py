@@ -26,8 +26,6 @@ _CODE_INFO = {
     "I": (2, -1.0),
 }
 
-_OPPOSITE = {"R": "L", "L": "R", "A": "P", "P": "A", "S": "I", "I": "S"}
-
 VOLUME_KINDS = ("intensity", "semantic", "instance")
 
 
@@ -95,6 +93,26 @@ class Volume:
         )
 
 
+def as_array(x) -> np.ndarray:
+    """The voxel array of a Volume, or ``x`` itself as an array."""
+    return x.data if isinstance(x, Volume) else np.asarray(x)
+
+
+def check_same_grid(a, b) -> None:
+    """Raise ValueError unless two Volumes share a grid, or, when either
+    side is a plain array, unless the two shapes agree."""
+    if isinstance(a, Volume) and isinstance(b, Volume):
+        if not a.same_grid(b):
+            raise ValueError(
+                f"volumes live on different grids: shape/spacing/orientation "
+                f"{a.dims}/{a.spacing}/{a.orientation} vs {b.dims}/{b.spacing}/{b.orientation}"
+            )
+    elif as_array(a).shape != as_array(b).shape:
+        raise ValueError(
+            f"mask shapes differ, so they share no grid: {as_array(a).shape} vs {as_array(b).shape}"
+        )
+
+
 def reorient(vol: Volume, target: Sequence[str]) -> Volume:
     """Permute/flip axes so the volume's orientation matches ``target``.
 
@@ -143,7 +161,9 @@ def resample(vol: Volume, new_spacing: Sequence[float], mode: str = "nearest") -
     if mode == "trilinear" and vol.is_label:
         raise ValueError("trilinear interpolation is not valid for label volumes")
 
-    if new_spacing == vol.spacing:
+    # NIfTI stores spacing as float32, so a volume read back from disk is
+    # already on the target grid when its spacing is merely close to it
+    if np.allclose(new_spacing, vol.spacing):
         return vol
 
     old_dims = vol.dims
@@ -183,9 +203,6 @@ class ComponentSet:
     centroids: list[tuple[float, float, float]] = field(default_factory=list)
     bboxes: list[tuple[slice, slice, slice]] = field(default_factory=list)
 
-    def mask(self, component_id: int) -> np.ndarray:
-        return self.labels == component_id
-
 
 def _structuring_element(connectivity: int) -> np.ndarray:
     if connectivity == 6:
@@ -212,22 +229,35 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentS
     remap[order + 1] = np.arange(1, n + 1, dtype=np.int32)
     labels = remap[raw]
 
-    sizes = np.bincount(labels.ravel(), minlength=n + 1)[1:]
-    centroids = ndi.center_of_mass(mask, labels, index=range(1, n + 1))
-    centroids = [tuple(float(x) for x in c) for c in centroids]
-    objects = ndi.find_objects(labels)
-    bboxes = [obj for obj in objects if obj is not None]
+    sizes, centroids = label_centroids(labels, n)
+    centroids = [tuple(c) for c in centroids.tolist()]
+    bboxes = ndi.find_objects(labels)
     return ComponentSet(labels=labels, count=n, sizes=sizes, centroids=centroids, bboxes=bboxes)
+
+
+def label_centroids(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Voxel counts and index centroids of ids 1..n in one pass.
+
+    Returns ``(counts, centroids)``: row ``i`` describes id ``i + 1``, and
+    an id without voxels gets a NaN centroid. Each coordinate sum adds
+    integers in float64, which is exact, so a centroid equals the mean of
+    the id's ``np.nonzero`` indices bit for bit.
+    """
+    where = np.nonzero(labels)
+    ids = labels[where].astype(np.intp)
+    counts = np.bincount(ids, minlength=n + 1)[1 : n + 1]
+    sums = [np.bincount(ids, weights=axis, minlength=n + 1)[1 : n + 1] for axis in where]
+    with np.errstate(invalid="ignore"):
+        centroids = np.stack(sums, axis=1) / counts[:, None]
+    return counts, centroids
 
 
 def center_of_mass(mask: np.ndarray) -> tuple[float, float, float]:
     """Arithmetic mean of the foreground voxel index triples."""
-    mask = np.asarray(mask) != 0
-    total = int(mask.sum())
-    if total == 0:
+    counts, centroids = label_centroids(np.asarray(mask) != 0, 1)
+    if counts[0] == 0:
         raise ValueError("center of mass of an empty component is undefined")
-    com = ndi.center_of_mass(mask)
-    return tuple(float(x) for x in com)
+    return tuple(centroids[0].tolist())
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:

@@ -268,6 +268,35 @@ class TestAssignDiscEndplate:
         assert out[4, 14, 2] == 103
         assert (out[5:8, 14:17, 2:6] == 102).all()
 
+    def test_equidistant_vertebrae_tie_to_smaller_id(self):
+        # vertebrae 2 and 3 side by side at the same height
+        sem = np.zeros((12, 30, 12), dtype=np.uint16)
+        inst = np.zeros_like(sem)
+        sem[2:4, 8:12, 2:4] = Structure.CORPUS
+        inst[2:4, 8:12, 2:4] = 3
+        sem[8:10, 8:12, 8:10] = Structure.CORPUS
+        inst[8:10, 8:12, 8:10] = 2
+        sem[5:7, 20:22, 5:7] = Structure.IVD  # below both
+        sem[5:7, 2:4, 5:7] = Structure.ENDPLATE  # above both: the topmost tie
+        out, flags = assign_disc_endplate_instances(make_volume(sem), inst)
+        assert (out[5:7, 20:22, 5:7] == 102).all()
+        assert (out[5:7, 2:4, 5:7] == 202).all()
+        assert flags == [{"kind": "no_vertebra_above", "code": int(Structure.ENDPLATE), "assigned_to": 2}]
+
+    def test_vertebra_with_corpus_uses_corpus_centroid(self):
+        # vertebra 2's arcus reaches far down, so its whole-instance centroid
+        # lies below the disc while its corpus centroid lies above it
+        sem = np.zeros((12, 40, 12), dtype=np.uint16)
+        inst = np.zeros_like(sem)
+        sem[2:4, 2:4, 2:4] = Structure.CORPUS
+        inst[2:4, 2:4, 2:4] = 1
+        sem[2:4, 8:10, 2:4] = Structure.CORPUS
+        sem[2:4, 10:38, 2:4] = Structure.ARCUS
+        inst[2:4, 8:38, 2:4] = 2
+        sem[8:10, 12:14, 8:10] = Structure.IVD
+        out, _ = assign_disc_endplate_instances(make_volume(sem), inst)
+        assert (out[8:10, 12:14, 8:10] == 102).all()
+
     def test_vertebra_without_corpus_uses_whole_instance_centroid(self):
         sem = np.zeros((12, 40, 8), dtype=np.uint16)
         inst = np.zeros_like(sem)

@@ -1,10 +1,12 @@
 """Tiling, blended tiled prediction, external predictors, full runs."""
 
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spineseg
 from spineseg.labels import Structure
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, OracleSemanticPredictor
 from spineseg.pipeline import (
@@ -172,8 +174,11 @@ class TestPredictSemantic:
 
 
 def write_script(tmp_path, name, body):
+    """A predictor script that imports the spineseg package this suite tests,
+    whether or not that package is installed."""
+    package_root = Path(spineseg.__file__).resolve().parents[1]
     path = tmp_path / name
-    path.write_text(textwrap.dedent(body))
+    path.write_text(f"import sys\nsys.path.insert(0, {str(package_root)!r})\n" + textwrap.dedent(body))
     return path
 
 

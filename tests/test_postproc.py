@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
-from spineseg.labels import Structure
+from spineseg.assembly import assemble
+from spineseg.labels import Structure, endplate_id, ivd_id
+from spineseg.phantom import (
+    NoiseSpec,
+    OracleInstancePredictor,
+    OracleSemanticPredictor,
+    PhantomSpec,
+    generate_phantom,
+)
+from spineseg.pipeline import predict_semantic
 from spineseg.postproc import enforce_consistency, foreground_equal
-from spineseg.volume import Volume
+from spineseg.volume import Volume, bounding_box, connected_components, fill_holes
+from test_acceptance import random_inconsistent_pair
 
 
 def make_volume(data, kind="semantic"):
@@ -32,6 +43,71 @@ def random_pair(rng, shape=(20, 28, 10)):
         box = tuple(slice(l, min(l + w, s)) for l, w, s in zip(lo, side, shape))
         inst[box] = int(rng.choice([0, 1, 2, 3, 5, 101, 102, 201, 202]))
     return sem, inst
+
+
+def reference_consistency(sem, inst):
+    """``enforce_consistency`` on arrays as a loop of per-label full-volume
+    scans; returns (semantic, instance, report dict)."""
+    sem, inst = sem.copy(), inst.copy()
+    relevant_codes = list(range(1, 12))
+    report = {"holes_filled": 0, "zeroed": 0, "orphans_assigned": [], "demoted_semantic": 0}
+
+    def fill_every_label(arr):
+        for value in sorted(int(v) for v in np.unique(arr) if v != 0):
+            mask = arr == value
+            box = bounding_box(mask)
+            add = fill_holes(mask[box]) & (arr[box] == 0)
+            arr[box][add] = value
+            report["holes_filled"] += int(add.sum())
+
+    fill_every_label(sem)
+    fill_every_label(inst)
+    relevant = np.isin(sem, relevant_codes)
+    if not ((inst >= 1) & (inst < 100) & relevant).any() and relevant.any():
+        report["demoted_semantic"] = int(relevant.sum())
+        sem[relevant] = 0
+        fill_every_label(sem)
+    stray = (inst > 0) & ~np.isin(sem, relevant_codes)
+    report["zeroed"] = int(stray.sum())
+    inst[stray] = 0
+
+    orphan = np.isin(sem, relevant_codes) & (inst == 0)
+    if not orphan.any():
+        return sem, inst, report
+    height = {}
+    for vid in sorted(int(v) for v in np.unique(inst) if 1 <= v < 100):
+        corpus = (sem == Structure.CORPUS) & (inst == vid)
+        height[vid] = float(np.nonzero(corpus if corpus.any() else inst == vid)[1].mean())
+    comps = connected_components(orphan, connectivity=26)
+    for ci in range(1, comps.count + 1):
+        comp = comps.labels == ci
+        y = float(np.nonzero(comp)[1].mean())
+        box = bounding_box(comp, margin=1)
+        crop = comp[box]
+        shell = ndi.binary_dilation(crop, structure=np.ones((3, 3, 3), dtype=bool)) & ~crop
+        contact = inst[box][shell]
+        contact = contact[contact > 0]
+        if contact.size:
+            target = int(np.argmax(np.bincount(contact)))
+        else:
+            above = [v for v in height if height[v] < y]
+            if above:
+                k = min(above, key=lambda v: (y - height[v], v))
+            else:
+                k = min(height, key=lambda v: (height[v], v))
+            dominant = int(np.argmax(np.bincount(sem[comp])))
+            target = {Structure.IVD: ivd_id(k), Structure.ENDPLATE: endplate_id(k)}.get(dominant, k)
+        inst[comp & (inst == 0)] = target
+        report["orphans_assigned"].append([int(comp.sum()), target])
+    return sem, inst, report
+
+
+def assert_matches_reference(sem, inst):
+    got_sem, got_inst, report = enforce_consistency(sem, inst)
+    want_sem, want_inst, want_report = reference_consistency(sem, inst)
+    assert np.array_equal(got_sem, want_sem)
+    assert np.array_equal(got_inst, want_inst)
+    assert report.to_dict() == want_report
 
 
 class TestForegroundEqual:
@@ -179,6 +255,65 @@ class TestEnforceConsistency:
             sem2, inst2, _ = enforce_consistency(sem1, inst1)
             assert np.array_equal(sem1, sem2)
             assert np.array_equal(inst1, inst2)
+
+    def test_matches_per_label_reference_on_random_pairs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            assert_matches_reference(*random_inconsistent_pair(rng))
+
+    def test_matches_per_label_reference_on_noisy_phantom(self):
+        _, sem_gt, inst_gt = generate_phantom(PhantomSpec(n_vertebrae=5, dims=(128, 208, 32), seed=7))
+        noise = NoiseSpec(p_erosion=0.1, p_labeldrop=0.1, p_downup=0.1, seed=7)
+        sem = predict_semantic(sem_gt, OracleSemanticPredictor(sem_gt, noise))
+        inst, _ = assemble(sem, OracleInstancePredictor(inst_gt, sem_gt, noise))
+        _, _, report = enforce_consistency(sem, inst)
+        assert report.orphans_assigned  # the orphan pass does run
+        assert_matches_reference(sem.data, inst.data)
+
+    def test_matches_per_label_reference_on_nested_labels(self):
+        # each label encloses another label and an empty pocket: filling
+        # takes the pocket and leaves the inner label alone
+        sem = np.zeros((9, 9, 9), dtype=np.uint16)
+        sem[1:8, 1:8, 1:8] = Structure.SPINAL_CANAL
+        sem[2:4, 2:4, 2:4] = Structure.SPINAL_CORD
+        sem[5, 5, 5] = 0
+        inst = np.zeros_like(sem)
+        sem[1:8, 1:8, 0] = Structure.CORPUS
+        inst[1:8, 1:8, 0] = 4
+        inst[3, 3, 0] = 5
+        inst[5, 5, 0] = 0
+        assert_matches_reference(sem, inst)
+        sem2, inst2, _ = enforce_consistency(sem, inst)
+        assert sem2[5, 5, 5] == Structure.SPINAL_CANAL and sem2[3, 3, 3] == Structure.SPINAL_CORD
+        assert inst2[3, 3, 0] == 5 and inst2[5, 5, 0] == 4
+
+    def test_contactless_orphan_keys_to_corpus_centroid(self):
+        # vertebra 2's arcus reaches far down, so its whole-instance centroid
+        # lies below the disc while its corpus centroid lies above it
+        sem = np.zeros((12, 40, 12), dtype=np.uint16)
+        inst = np.zeros_like(sem)
+        sem[2:4, 2:4, 2:4] = Structure.CORPUS
+        inst[2:4, 2:4, 2:4] = 1
+        sem[2:4, 8:10, 2:4] = Structure.CORPUS
+        sem[2:4, 10:38, 2:4] = Structure.ARCUS
+        inst[2:4, 8:38, 2:4] = 2
+        sem[8:10, 12:14, 8:10] = Structure.IVD
+        _, inst2, _ = enforce_consistency(sem, inst)
+        assert (inst2[8:10, 12:14, 8:10] == 102).all()
+
+    def test_contactless_orphan_tie_takes_smaller_vertebra(self):
+        # vertebrae 2 and 3 side by side at the same height, a disc below both
+        sem = np.zeros((12, 30, 12), dtype=np.uint16)
+        inst = np.zeros_like(sem)
+        sem[2:4, 8:12, 2:4] = Structure.CORPUS
+        inst[2:4, 8:12, 2:4] = 3
+        sem[8:10, 8:12, 8:10] = Structure.CORPUS
+        inst[8:10, 8:12, 8:10] = 2
+        sem[5:7, 20:22, 5:7] = Structure.IVD
+        sem[5:7, 2:4, 5:7] = Structure.ENDPLATE  # above both: the topmost tie
+        _, inst2, report = enforce_consistency(sem, inst)
+        assert (inst2[5:7, 20:22, 5:7] == 102).all()
+        assert (inst2[5:7, 2:4, 5:7] == 202).all()
 
     def test_inputs_are_not_modified(self):
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spineseg.nifti import read_nifti, write_nifti
 from spineseg.volume import (
     CANONICAL_ORIENTATION,
     Volume,
@@ -157,6 +158,14 @@ class TestResample:
         out = resample(vol, (0.75, 0.75, 1.65))
         assert out is vol
 
+    def test_identity_after_nifti_round_trip(self, tmp_path):
+        # NIfTI stores spacing as float32: 1.65 mm reads back as 1.6499999...
+        vol = Volume(np.zeros((3, 4, 5), dtype=np.float32), (0.75, 0.75, 1.65))
+        write_nifti(vol, tmp_path / "v.nii.gz")
+        back = read_nifti(tmp_path / "v.nii.gz")
+        assert back.spacing != (0.75, 0.75, 1.65)
+        assert resample(back, (0.75, 0.75, 1.65), mode="trilinear") is back
+
     def test_no_new_labels_nearest(self):
         rng = np.random.default_rng(5)
         data = rng.choice([0, 3, 7, 11], size=(6, 5, 4)).astype(np.int32)
@@ -262,6 +271,24 @@ class TestConnectedComponents:
         assert cs.centroids[0] == (0.5, 0.0, 0.0)
         assert cs.centroids[1] == (3.0, 3.0, 3.0)
         assert cs.bboxes[0] == (slice(0, 2), slice(0, 1), slice(0, 1))
+
+    def test_centroids_equal_index_means_exactly(self):
+        # a full-size grid makes the coordinate sums large
+        rng = np.random.default_rng(5)
+        masks = [rng.random((9, 11, 7)) < p for p in (0.2, 0.5, 0.8)]
+        big = np.zeros((256, 384, 64), dtype=bool)
+        for _ in range(12):
+            lo = rng.integers(0, (250, 370, 60))
+            hi = lo + rng.integers(1, (120, 200, 40))
+            big[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = rng.random() < 0.8
+        masks.append(big)
+        for mask in masks:
+            cs = connected_components(mask, connectivity=6)
+            assert cs.count > 0
+            for ci in range(1, cs.count + 1):
+                idx = np.nonzero(cs.labels == ci)
+                assert cs.centroids[ci - 1] == tuple(float(a.mean()) for a in idx)
+                assert cs.sizes[ci - 1] == idx[0].size
 
     def test_empty_mask(self):
         cs = connected_components(np.zeros((3, 3, 3), dtype=bool))
