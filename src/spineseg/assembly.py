@@ -14,13 +14,55 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage as ndi
 
 from .labels import Structure, endplate_id, ivd_id
-from .volume import Volume, bounding_box, connected_components, label_centroids, window_view
+from .volume import Volume, connected_components, label_centroids, window_view
 
 CUTOUT_SIZE = (248, 304, 64)
 
 LABEL_ABOVE, LABEL_CENTER, LABEL_BELOW = 1, 2, 3
+
+
+class PredictorError(RuntimeError):
+    """A predictor failed or answered outside its contract; the message
+    carries the diagnostics."""
+
+
+def check_answer(answer, shape, n_labels: int, scores_ok: bool = False) -> np.ndarray:
+    """A predictor's answer, checked against the output contract.
+
+    A 3D answer of ``shape`` holds labels: integers in ``0..n_labels - 1``.
+    An integer array is returned as it is; a boolean array, or a float
+    array whose values are all integral (``exec:`` models may write float
+    NIfTI labels), comes back as uint16. When ``scores_ok``, a 4D answer
+    of shape ``(n_labels,) + shape`` holds per-label scores and comes back
+    as finite float32. Any other answer raises ``PredictorError``.
+    """
+    out = np.asarray(answer)
+    shape = tuple(shape)
+    if out.dtype.kind not in "biuf":
+        raise PredictorError(f"predictor returned {out.dtype} values, not numbers")
+    if scores_ok and out.ndim == 4:
+        expected = (n_labels,) + shape
+        if out.shape != expected:
+            raise PredictorError(f"score answer has shape {out.shape}, expected {expected}")
+        out = out.astype(np.float32, copy=False)
+        if not np.isfinite(out).all():
+            raise PredictorError("score answer contains non-finite values")
+        return out
+    if out.ndim != 3:
+        raise PredictorError(f"predictor returned a {out.ndim}D array")
+    if out.shape != shape:
+        raise PredictorError(f"label answer has shape {out.shape}, expected {shape}")
+    # NaN fails this test too; infinities fail the range test below
+    if out.dtype.kind == "f" and not (out == np.floor(out)).all():
+        raise PredictorError("label answer contains non-integral values")
+    lo, hi = out.min(), out.max()
+    if lo < 0 or hi >= n_labels:
+        allowed = ", ".join(str(k) for k in range(n_labels))
+        raise PredictorError(f"label answer has values {lo}..{hi}, outside {{{allowed}}}")
+    return out if out.dtype.kind in "iu" else out.astype(np.uint16)
 
 
 @dataclass(frozen=True)
@@ -134,46 +176,29 @@ class VertebraGroup:
     agreement: float
 
 
-def _window_mask(prediction: np.ndarray, label: int, cutout: Cutout) -> WindowMask | None:
-    m = prediction == label
-    box = bounding_box(m)
-    if box is None:
-        return None
-    origin = tuple(cutout.origin[a] + box[a].start for a in range(3))
-    crop = np.ascontiguousarray(m[box])
-    return WindowMask(origin=origin, mask=crop, count=int(crop.sum()))
-
-
 def collect_groups(cutouts: list[Cutout], predictions: list[np.ndarray]) -> list[VertebraGroup]:
-    """Group per-window predictions by the vertebra they describe."""
+    """Group per-window integer label predictions by the vertebra they describe."""
     if len(cutouts) != len(predictions):
         raise ValueError("need exactly one prediction per cutout")
     n = len(cutouts)
+    boxes = [ndi.find_objects(p, max_label=LABEL_BELOW) for p in predictions]
     groups = []
     for k in range(1, n + 1):
-        sources = (
-            (k, LABEL_CENTER),
-            (k + 1, LABEL_ABOVE),
-            (k - 1, LABEL_BELOW),
-        )
         masks = []
-        for cut_index, label in sources:
-            if not 1 <= cut_index <= n:
-                continue
-            wm = _window_mask(predictions[cut_index - 1], label, cutouts[cut_index - 1])
-            if wm is not None:
-                masks.append(wm)
+        for i, label in ((k, LABEL_CENTER), (k + 1, LABEL_ABOVE), (k - 1, LABEL_BELOW)):
+            box = boxes[i - 1][label - 1] if 1 <= i <= n else None
+            if box is not None:
+                crop = predictions[i - 1][box] == label
+                origin = tuple(o + b.start for o, b in zip(cutouts[i - 1].origin, box))
+                masks.append(WindowMask(origin=origin, mask=crop, count=int(crop.sum())))
         if not masks:
             continue
-        if len(masks) < 2:
-            agreement = 1.0
-        else:
-            scores = [
-                window_pair_dice(masks[i], masks[j])
-                for i in range(len(masks))
-                for j in range(i + 1, len(masks))
-            ]
-            agreement = float(np.mean(scores))
+        pairs = [
+            window_pair_dice(masks[i], masks[j])
+            for i in range(len(masks))
+            for j in range(i + 1, len(masks))
+        ]
+        agreement = float(np.mean(pairs)) if pairs else 1.0
         groups.append(VertebraGroup(target_index=k, predictions=masks, agreement=agreement))
     return groups
 
@@ -234,8 +259,8 @@ def reconcile(groups: list[VertebraGroup], dims) -> tuple[np.ndarray, ReconcileS
     return out, stats
 
 
-def vertebra_heights(semantic: np.ndarray, instance: np.ndarray) -> dict[int, float]:
-    """Superior-inferior centroid (axis 1) of each vertebra id 1..99 present.
+def vertebra_centroids(semantic: np.ndarray, instance: np.ndarray) -> dict[int, np.ndarray]:
+    """Index centroid of each vertebra id 1..99 present, in increasing id order.
 
     A vertebra's centroid is the mean over its corpus voxels, or over all
     of its voxels when it has no corpus voxel.
@@ -246,9 +271,14 @@ def vertebra_heights(semantic: np.ndarray, instance: np.ndarray) -> dict[int, fl
         np.where(semantic == Structure.CORPUS, vertebrae, 0), 99
     )
     return {
-        int(i) + 1: float((corpus_centroids if corpus_counts[i] else centroids)[i, 1])
+        int(i) + 1: (corpus_centroids if corpus_counts[i] else centroids)[i]
         for i in np.flatnonzero(counts)
     }
+
+
+def vertebra_heights(semantic: np.ndarray, instance: np.ndarray) -> dict[int, float]:
+    """Superior-inferior coordinate (axis 1) of each ``vertebra_centroids`` entry."""
+    return {v: float(c[1]) for v, c in vertebra_centroids(semantic, instance).items()}
 
 
 def vertebra_above(heights: dict[int, float], y: float) -> tuple[int, bool]:
@@ -325,8 +355,10 @@ def assemble(
     """Run the full instance phase on a semantic mask.
 
     The predictor is called once per cutout with the semantic window (a
-    Volume) and the Cutout record, and must return a label array over the
-    window with values in {0, 1, 2, 3}.
+    Volume) and the Cutout record, and must answer with an integral label
+    array of the window's shape with values in {0, 1, 2, 3} (integral
+    floats are accepted). Any other answer, scores included, raises
+    ``PredictorError`` (see ``check_answer``).
     """
     report = AssemblyReport()
     centers = find_corpus_centers(semantic, min_volume_fraction)
@@ -352,13 +384,8 @@ def assemble(
     ]
     predictions = []
     for cutout in cutouts:
-        window = cutout_window(semantic, cutout)
-        pred = np.asarray(predictor.predict(window, cutout))
-        if pred.shape != cutout.size:
-            raise ValueError(
-                f"cutout {cutout.index}: predictor returned shape {pred.shape}, expected {cutout.size}"
-            )
-        predictions.append(pred)
+        answer = predictor.predict(cutout_window(semantic, cutout), cutout)
+        predictions.append(check_answer(answer, cutout.size, LABEL_BELOW + 1))
 
     groups = collect_groups(cutouts, predictions)
     report.groups = [

@@ -34,8 +34,7 @@ from .phantom import (
 )
 from .pipeline import (
     DEFAULT_SPACING,
-    ExternalInstancePredictor,
-    ExternalSemanticPredictor,
+    ExternalPredictor,
     PipelineConfig,
     PredictorError,
     TilingSpec,
@@ -206,8 +205,7 @@ def _parse_predictor(uri: str, role: str, exchange_dir: Path, timeout: float):
         command = uri[len("exec:") :]
         if not command.strip():
             raise UsageError(f"--{role} exec spec has an empty command")
-        cls = ExternalSemanticPredictor if role == "semantic" else ExternalInstancePredictor
-        return cls(command, exchange_dir=exchange_dir, timeout=timeout)
+        return ExternalPredictor(command, exchange_dir=exchange_dir, timeout=timeout)
     raise UsageError(f"--{role} must start with oracle: or exec:, got {uri!r}")
 
 

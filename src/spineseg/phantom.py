@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .assembly import LABEL_ABOVE, LABEL_BELOW, LABEL_CENTER, vertebra_centroids
 from .labels import (
     Structure,
     endplate_id,
@@ -480,21 +481,12 @@ class OracleInstancePredictor:
     mask (then corrupting them when noise is set).
     """
 
-    ABOVE, CENTER, BELOW = 1, 2, 3
-
     def __init__(self, gt_instance: Volume, gt_semantic: Volume | None = None, noise: NoiseSpec | None = None):
         self.gt = gt_instance
         self.noise = noise
-        corpus = gt_semantic.data == Structure.CORPUS if gt_semantic is not None else None
-        ids = sorted(int(v) for v in np.unique(gt_instance.data) if 1 <= v < 100)
-        self.vertebra_ids = ids
-        self.centroids = {}
-        for vid in ids:
-            mask = gt_instance.data == vid
-            if corpus is not None and (corpus & mask).any():
-                mask = corpus & mask
-            idx = np.argwhere(mask)
-            self.centroids[vid] = idx.mean(axis=0)
+        semantic = gt_semantic.data if gt_semantic is not None else np.zeros_like(gt_instance.data)
+        self.centroids = vertebra_centroids(semantic, gt_instance.data)
+        self.vertebra_ids = list(self.centroids)
 
     def predict(self, patch: Volume, cutout) -> np.ndarray:
         out = np.zeros(patch.dims, dtype=np.uint16)
@@ -505,14 +497,14 @@ class OracleInstancePredictor:
         mid = min(self.vertebra_ids, key=lambda v: (dists[v], v))
 
         window = window_view(self.gt.data, cutout.origin, patch.dims)
-        for label, vid in ((self.ABOVE, mid - 1), (self.CENTER, mid), (self.BELOW, mid + 1)):
+        for label, vid in ((LABEL_ABOVE, mid - 1), (LABEL_CENTER, mid), (LABEL_BELOW, mid + 1)):
             if vid in self.centroids:
                 out[window == vid] = label
         if self.noise is not None:
             seeded = replace(self.noise, seed=_patch_seed(self.noise.seed, (cutout.index,)))
             rng = np.random.default_rng(seeded.seed)
             corrupted = np.zeros_like(out)
-            for label in (self.ABOVE, self.CENTER, self.BELOW):
+            for label in (LABEL_ABOVE, LABEL_CENTER, LABEL_BELOW):
                 mask = _corrupt_binary(out == label, seeded, rng, self.gt.spacing)
                 corrupted[mask & (corrupted == 0)] = label
             out = corrupted

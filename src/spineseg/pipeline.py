@@ -19,17 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import CUTOUT_SIZE, assemble
+from .assembly import CUTOUT_SIZE, PredictorError, assemble, check_answer
 from .nifti import read_nifti, write_nifti
 from .postproc import enforce_consistency
 from .volume import Volume, resample, to_canonical
 
 N_CLASSES = 15
 DEFAULT_SPACING = (0.75, 0.75, 1.65)
-
-
-class PredictorError(RuntimeError):
-    """A predictor failed; the message carries the process diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -80,22 +76,12 @@ def _blend_window(shape, blend: str) -> np.ndarray:
     return w
 
 
-def _accumulate(scores, weights, sl, w, out, patch_dims):
+def _accumulate(scores, weights, sl, w, out):
     if out.ndim == 3:
-        if out.shape != patch_dims:
-            raise PredictorError(f"label patch has shape {out.shape}, expected {patch_dims}")
-        if out.min() < 0 or out.max() >= N_CLASSES:
-            raise PredictorError(f"label patch contains values outside 0..{N_CLASSES - 1}")
         for code in np.unique(out):
             scores[int(code)][sl] += w * (out == code)
-    elif out.ndim == 4:
-        if out.shape != (N_CLASSES,) + patch_dims:
-            raise PredictorError(
-                f"score patch has shape {out.shape}, expected {(N_CLASSES,) + patch_dims}"
-            )
-        scores[:, sl[0], sl[1], sl[2]] += w * out
     else:
-        raise PredictorError(f"predictor returned a {out.ndim}D array")
+        scores[:, sl[0], sl[1], sl[2]] += w * out
     weights[sl] += w
 
 
@@ -105,8 +91,11 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
     ``predictor`` is one object or a sequence (an ensemble; their scores
     are averaged, which for identical members equals any single one).
     Each must provide ``predict(patch: Volume, origin) -> array`` where
-    the array is either a label patch or per-class scores with a leading
-    class axis. Argmax ties resolve to the smaller class code.
+    the array is either an integral label patch with values 0..14
+    (integral floats are accepted) or finite per-class scores of shape
+    ``(15,) + patch.dims``. Any other answer raises ``PredictorError``
+    (see ``assembly.check_answer``). Argmax ties resolve to the smaller
+    class code.
     """
     predictors = list(predictor) if isinstance(predictor, (list, tuple)) else [predictor]
     if not predictors:
@@ -120,8 +109,8 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
         patch = Volume(data, vol.spacing, vol.orientation, vol.kind)
         w = _blend_window(patch.dims, spec.blend)
         for p in predictors:
-            out = np.asarray(p.predict(patch, origin))
-            _accumulate(scores, weights, sl, w, out, patch.dims)
+            out = check_answer(p.predict(patch, origin), patch.dims, N_CLASSES, scores_ok=True)
+            _accumulate(scores, weights, sl, w, out)
     labels = np.argmax(scores, axis=0).astype(np.uint16)
     semantic = Volume(labels, vol.spacing, vol.orientation, "semantic")
     if return_scores:
@@ -136,15 +125,16 @@ def _substitute(command: str, in_path: Path, out_path: Path) -> list[str]:
     return tokens + [str(in_path), str(out_path)]
 
 
-class _ExternalProcess:
-    """File-exchange protocol shared by both external predictor kinds.
+class ExternalPredictor:
+    """A semantic or instance model behind an external command.
 
     The input volume is written as ``in_<uuid>.nii.gz``; the command runs
     with the input and output paths substituted for ``{input}`` and
     ``{output}`` (or appended when no placeholder appears); the process
     answers with ``out_<uuid>.nii.gz`` (labels) or one
     ``out_<uuid>_c<k>.nii.gz`` per class (scores). Nonzero exit status,
-    timeout, or missing output is a failure carrying the diagnostics.
+    timeout, or missing output is a failure carrying the diagnostics; the
+    answer itself is checked by the phase that asked for it.
     """
 
     def __init__(self, command: str, exchange_dir=None, timeout: float = 300.0):
@@ -157,12 +147,14 @@ class _ExternalProcess:
             self.exchange_dir = Path(exchange_dir)
             self.exchange_dir.mkdir(parents=True, exist_ok=True)
 
-    def run(self, in_vol: Volume, expect_scores_ok: bool):
+    def predict(self, volume: Volume, where) -> np.ndarray:
+        """The command's answer for ``volume``; ``where`` (a patch origin or
+        a cutout) is not passed on."""
         uid = uuid.uuid4().hex
         in_path = self.exchange_dir / f"in_{uid}.nii.gz"
         out_path = self.exchange_dir / f"out_{uid}.nii.gz"
         score_paths = [self.exchange_dir / f"out_{uid}_c{k}.nii.gz" for k in range(N_CLASSES)]
-        write_nifti(in_vol, in_path)
+        write_nifti(volume, in_path)
         argv = _substitute(self.command, in_path, out_path)
         try:
             try:
@@ -183,7 +175,7 @@ class _ExternalProcess:
                     return read_nifti(out_path).data
                 except ValueError as e:
                     raise PredictorError(f"malformed predictor output {out_path.name}: {e}")
-            if expect_scores_ok and any(p.exists() for p in score_paths):
+            if any(p.exists() for p in score_paths):
                 missing = [p.name for p in score_paths if not p.exists()]
                 if missing:
                     raise PredictorError(f"incomplete score output, missing {missing}")
@@ -201,29 +193,7 @@ class _ExternalProcess:
                 p.unlink(missing_ok=True)
 
 
-class ExternalSemanticPredictor:
-    """Semantic model behind an external command (labels or class scores)."""
-
-    def __init__(self, command: str, exchange_dir=None, timeout: float = 300.0):
-        self._proc = _ExternalProcess(command, exchange_dir, timeout)
-
-    def predict(self, patch: Volume, origin) -> np.ndarray:
-        return self._proc.run(patch, expect_scores_ok=True)
-
-
-class ExternalInstancePredictor:
-    """Cutout labeler behind an external command; output labels are {0,1,2,3}."""
-
-    def __init__(self, command: str, exchange_dir=None, timeout: float = 300.0):
-        self._proc = _ExternalProcess(command, exchange_dir, timeout)
-
-    def predict(self, window: Volume, cutout) -> np.ndarray:
-        out = self._proc.run(window, expect_scores_ok=False)
-        if out.ndim != 3:
-            raise PredictorError(f"instance predictor returned a {out.ndim}D array")
-        if out.min() < 0 or out.max() > 3:
-            raise PredictorError("instance predictor labels must be in {0, 1, 2, 3}")
-        return out
+ExternalSemanticPredictor = ExternalInstancePredictor = ExternalPredictor
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 from spineseg.assembly import (
     Cutout,
+    PredictorError,
     VertebraGroup,
     WindowMask,
     assemble,
@@ -18,7 +19,7 @@ from spineseg.assembly import (
 )
 from spineseg.labels import Structure
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, PhantomSpec, generate_phantom
-from spineseg.volume import Volume
+from spineseg.volume import Volume, bounding_box
 
 
 def make_volume(data, kind="semantic"):
@@ -153,6 +154,72 @@ class TestCollectGroups:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="one prediction per cutout"):
             collect_groups([], [np.zeros((2, 2, 2))])
+
+    def test_equals_per_label_reference(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(1, 6))
+            size = tuple(int(v) for v in rng.integers(3, 12, size=3))
+            cutouts = [
+                Cutout(
+                    center=(0.0, 0.0, 0.0),
+                    origin=tuple(int(v) for v in rng.integers(-4, 20, size=3)),
+                    size=size,
+                    index=k,
+                )
+                for k in range(1, n + 1)
+            ]
+            predictions = []
+            for _ in range(n):
+                pred = np.zeros(size, dtype=rng.choice([np.uint8, np.uint16, np.int64]))
+                # each label is absent, a random box or scattered voxels;
+                # all three absent leaves the window empty
+                for label in (1, 2, 3):
+                    kind = rng.integers(3)
+                    if kind == 1:
+                        lo = [int(rng.integers(0, d)) for d in size]
+                        hi = [int(rng.integers(l + 1, d + 1)) for l, d in zip(lo, size)]
+                        pred[tuple(slice(l, h) for l, h in zip(lo, hi))] = label
+                    elif kind == 2:
+                        pred[rng.random(size) < 0.1] = label
+                predictions.append(pred)
+            got = collect_groups(cutouts, predictions)
+            want = reference_groups(cutouts, predictions)
+            assert [g.target_index for g in got] == [g.target_index for g in want], trial
+            for g, w in zip(got, want):
+                assert g.agreement == w.agreement
+                assert len(g.predictions) == len(w.predictions)
+                for a, b in zip(g.predictions, w.predictions):
+                    assert a.origin == b.origin and a.count == b.count
+                    assert a.mask.dtype == b.mask.dtype and np.array_equal(a.mask, b.mask)
+
+
+def reference_groups(cutouts, predictions):
+    """``collect_groups`` as a full-window scan per (cutout, label)."""
+    n = len(cutouts)
+    groups = []
+    for k in range(1, n + 1):
+        masks = []
+        for cut_index, label in ((k, 2), (k + 1, 1), (k - 1, 3)):
+            if not 1 <= cut_index <= n:
+                continue
+            m = predictions[cut_index - 1] == label
+            box = bounding_box(m)
+            if box is None:
+                continue
+            origin = tuple(cutouts[cut_index - 1].origin[a] + box[a].start for a in range(3))
+            crop = np.ascontiguousarray(m[box])
+            masks.append(WindowMask(origin=origin, mask=crop, count=int(crop.sum())))
+        if not masks:
+            continue
+        pairs = [
+            window_pair_dice(masks[i], masks[j])
+            for i in range(len(masks))
+            for j in range(i + 1, len(masks))
+        ]
+        agreement = float(np.mean(pairs)) if pairs else 1.0
+        groups.append(VertebraGroup(target_index=k, predictions=masks, agreement=agreement))
+    return groups
 
 
 def single_mask_group(target, agreement, origin, shape):
@@ -354,5 +421,27 @@ class TestAssembleEndToEnd:
             def predict(self, window, cutout):
                 return np.zeros((2, 2, 2), dtype=np.uint16)
 
-        with pytest.raises(ValueError, match="expected"):
+        with pytest.raises(PredictorError, match="expected"):
             assemble(sem, Bad())
+
+    @pytest.mark.parametrize(
+        "answer, match",
+        [
+            (lambda shape: np.full(shape, 7, dtype=np.uint16), "\\{0, 1, 2, 3\\}"),
+            (lambda shape: np.full(shape, 2.5), "non-integral"),
+            (lambda shape: np.full(shape, np.nan, dtype=np.float32), "non-integral"),
+            (lambda shape: np.zeros((4,) + shape, dtype=np.float32), "4D"),
+        ],
+        ids=["label-7", "fraction", "nan", "scores"],
+    )
+    def test_predictor_labels_are_validated(self, answer, match):
+        data = np.zeros((12, 16, 8), dtype=np.uint16)
+        data[4:8, 6:10, 2:6] = Structure.CORPUS
+        sem = make_volume(data)
+
+        class Answer:
+            def predict(self, window, cutout):
+                return answer(window.dims)
+
+        with pytest.raises(PredictorError, match=match):
+            assemble(sem, Answer(), cutout_size=sem.dims)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spineseg
+from spineseg.assembly import assemble
 from spineseg.labels import Structure
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, OracleSemanticPredictor
 from spineseg.pipeline import (
@@ -167,6 +168,42 @@ class TestPredictSemantic:
         with pytest.raises(PredictorError, match="2D"):
             predict_semantic(vol, TwoD(), spec)
 
+        class Answer:
+            def __init__(self, answer):
+                self.answer = answer
+
+            def predict(self, patch, origin):
+                return self.answer
+
+        # a NaN score would win the argmax and silently pick a class
+        scores = np.zeros((15, 8, 8, 8), dtype=np.float32)
+        scores[7, 0, 0, 0] = np.nan
+        with pytest.raises(PredictorError, match="non-finite"):
+            predict_semantic(vol, Answer(scores), spec)
+        # fractional labels must not be truncated to a class code
+        with pytest.raises(PredictorError, match="non-integral"):
+            predict_semantic(vol, Answer(np.full((8, 8, 8), 1.5, dtype=np.float32)), spec)
+        nan_labels = np.zeros((8, 8, 8), dtype=np.float32)
+        nan_labels[3, 3, 3] = np.nan
+        with pytest.raises(PredictorError, match="non-integral"):
+            predict_semantic(vol, Answer(nan_labels), spec)
+        with pytest.raises(PredictorError, match="outside"):
+            predict_semantic(vol, Answer(np.full((8, 8, 8), -1, dtype=np.int16)), spec)
+        with pytest.raises(PredictorError, match="shape"):
+            predict_semantic(vol, Answer(np.zeros((14, 8, 8, 8), dtype=np.float32)), spec)
+
+    def test_integral_float_labels_are_accepted(self):
+        labels = np.random.default_rng(3).integers(0, 15, size=(16, 8, 8))
+        vol = make_volume(np.zeros(labels.shape), kind="intensity")
+
+        class FloatLabels:
+            def predict(self, patch, origin):
+                sl = tuple(slice(o, o + s) for o, s in zip(origin, patch.dims))
+                return labels[sl].astype(np.float32)
+
+        out = predict_semantic(vol, FloatLabels(), TilingSpec(patch_size=(8, 8, 8), overlap=0.0))
+        assert np.array_equal(out.data, labels)
+
     def test_needs_a_predictor(self):
         vol = make_volume(np.zeros((8, 8, 8)), kind="intensity")
         with pytest.raises(ValueError, match="at least one"):
@@ -300,7 +337,7 @@ class TestExternalPredictors:
         )
         pred = ExternalInstancePredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
         with pytest.raises(PredictorError, match="\\{0, 1, 2, 3\\}"):
-            pred.predict(small_semantic, None)
+            assemble(small_semantic, pred, cutout_size=small_semantic.dims)
 
 
 class TestRunPipeline:
