@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage as ndi
 
-from .labels import Structure, endplate_id, ivd_id
-from .volume import Volume, connected_components, label_centroids, window_view
+from .labels import VERTEBRA_ID_MAX, Structure, is_vertebra_id, structure_instance_id
+from .volume import Volume, connected_components, label_centroids, overlap, window_view
 
 CUTOUT_SIZE = (248, 304, 64)
 
@@ -144,20 +144,10 @@ class WindowMask:
     mask: np.ndarray
     count: int
 
-    @property
-    def extent(self):
-        return tuple((o, o + s) for o, s in zip(self.origin, self.mask.shape))
-
 
 def window_pair_dice(a: WindowMask, b: WindowMask) -> float:
-    lo = [max(ea[0], eb[0]) for ea, eb in zip(a.extent, b.extent)]
-    hi = [min(ea[1], eb[1]) for ea, eb in zip(a.extent, b.extent)]
-    if any(l >= h for l, h in zip(lo, hi)):
-        inter = 0
-    else:
-        sa = tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, a.origin))
-        sb = tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, b.origin))
-        inter = int((a.mask[sa] & b.mask[sb]).sum())
+    shared = overlap(a.origin, a.mask.shape, b.origin, b.mask.shape)
+    inter = 0 if shared is None else int((a.mask[shared[0]] & b.mask[shared[1]]).sum())
     return 2.0 * inter / (a.count + b.count)
 
 
@@ -224,25 +214,20 @@ def reconcile(groups: list[VertebraGroup], dims) -> tuple[np.ndarray, ReconcileS
     stats = ReconcileStats()
     order = sorted(groups, key=lambda g: (-g.agreement, g.target_index))
     for group in order:
-        k = len(group.predictions)
-        need = (k + 1) // 2
-        lo = [min(wm.extent[a][0] for wm in group.predictions) for a in range(3)]
-        hi = [max(wm.extent[a][1] for wm in group.predictions) for a in range(3)]
-        lo = [max(0, l) for l in lo]
-        hi = [min(d, h) for d, h in zip(dims, hi)]
-        if any(l >= h for l, h in zip(lo, hi)):
+        need = (len(group.predictions) + 1) // 2
+        lo = [min(wm.origin[a] for wm in group.predictions) for a in range(3)]
+        hi = [max(wm.origin[a] + wm.mask.shape[a] for wm in group.predictions) for a in range(3)]
+        inside = overlap((0, 0, 0), dims, lo, [h - l for l, h in zip(lo, hi)])
+        if inside is None:
             stats.dropped_targets.append(group.target_index)
             continue
-        box = tuple(slice(l, h) for l, h in zip(lo, hi))
-        votes = np.zeros(tuple(h - l for l, h in zip(lo, hi)), dtype=np.int8)
+        box = inside[0]
+        start = [b.start for b in box]
+        votes = np.zeros(tuple(b.stop - b.start for b in box), dtype=np.int8)
         for wm in group.predictions:
-            wlo = [max(lo[a], wm.extent[a][0]) for a in range(3)]
-            whi = [min(hi[a], wm.extent[a][1]) for a in range(3)]
-            if any(l >= h for l, h in zip(wlo, whi)):
-                continue
-            dst = tuple(slice(l - lo[a], h - lo[a]) for a, (l, h) in enumerate(zip(wlo, whi)))
-            src = tuple(slice(l - wm.origin[a], h - wm.origin[a]) for a, (l, h) in enumerate(zip(wlo, whi)))
-            votes[dst] += wm.mask[src]
+            shared = overlap(start, votes.shape, wm.origin, wm.mask.shape)
+            if shared is not None:
+                votes[shared[0]] += wm.mask[shared[1]]
         fused = votes >= need
         region = out[box]
         free = region == 0
@@ -260,15 +245,15 @@ def reconcile(groups: list[VertebraGroup], dims) -> tuple[np.ndarray, ReconcileS
 
 
 def vertebra_centroids(semantic: np.ndarray, instance: np.ndarray) -> dict[int, np.ndarray]:
-    """Index centroid of each vertebra id 1..99 present, in increasing id order.
+    """Index centroid of each vertebra id present, in increasing id order.
 
     A vertebra's centroid is the mean over its corpus voxels, or over all
     of its voxels when it has no corpus voxel.
     """
-    vertebrae = np.where((instance >= 1) & (instance < 100), instance, 0)
-    counts, centroids = label_centroids(vertebrae, 99)
+    vertebrae = np.where(is_vertebra_id(instance), instance, 0)
+    counts, centroids = label_centroids(vertebrae, VERTEBRA_ID_MAX)
     corpus_counts, corpus_centroids = label_centroids(
-        np.where(semantic == Structure.CORPUS, vertebrae, 0), 99
+        np.where(semantic == Structure.CORPUS, vertebrae, 0), VERTEBRA_ID_MAX
     )
     return {
         int(i) + 1: (corpus_centroids if corpus_counts[i] else centroids)[i]
@@ -296,10 +281,11 @@ def vertebra_above(heights: dict[int, float], y: float) -> tuple[int, bool]:
 def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndarray):
     """Give disc and endplate components ids keyed to the vertebra above.
 
-    Each connected component of the disc (endplate) class takes id 100+k
-    (200+k) on its voxels not yet claimed, where k is the vertebra that
-    ``vertebra_above`` picks for the component's centroid. A component
-    with no vertebra above is keyed to the topmost vertebra and flagged.
+    Each connected component of the disc (endplate) class takes the disc
+    (endplate) id of vertebra k on its voxels not yet claimed, where k is
+    the vertebra that ``vertebra_above`` picks for the component's
+    centroid. A component with no vertebra above is keyed to the topmost
+    vertebra and flagged.
     """
     inst = vertebra_instances.copy()
     heights = vertebra_heights(semantic.data, inst)
@@ -311,14 +297,14 @@ def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndar
             if (semantic.data == code).any()
         ]
 
-    for code, id_for in ((Structure.IVD, ivd_id), (Structure.ENDPLATE, endplate_id)):
+    for code in (Structure.IVD, Structure.ENDPLATE):
         comps = connected_components(semantic.data == code, connectivity=26)
         lut = np.zeros(comps.count + 1, dtype=inst.dtype)
         for ci, centroid in enumerate(comps.centroids, start=1):
             k, flagged = vertebra_above(heights, centroid[1])
             if flagged:
                 flags.append({"kind": "no_vertebra_above", "code": int(code), "assigned_to": k})
-            lut[ci] = id_for(k)
+            lut[ci] = structure_instance_id(code, k)
         free = (comps.labels > 0) & (inst == 0)
         inst[free] = lut[comps.labels[free]]
     return inst, flags
@@ -398,8 +384,10 @@ def assemble(
 
     inst, flags = assign_disc_endplate_instances(semantic, inst)
     report.assignment_flags = flags
-    present = {int(v) for v in np.unique(inst) if 1 <= v < 100}
-    report.missing_targets = sorted(set(range(1, len(cutouts) + 1)) - present)
+    # reconcile writes only free voxels and the disc/endplate ids are not
+    # vertebra ids, so every group reconcile did not drop is in the output
+    placed = {g.target_index for g in groups} - set(stats.dropped_targets)
+    report.missing_targets = sorted(set(range(1, len(cutouts) + 1)) - placed)
     if report.missing_targets:
         report.warnings.append(
             f"vertebra groups without output instance: {report.missing_targets}"

@@ -37,6 +37,7 @@ class Structure(IntEnum):
 
 IVD_ID_BASE = 100
 ENDPLATE_ID_BASE = 200
+VERTEBRA_ID_MAX = IVD_ID_BASE - 1
 
 _KIND_BY_CODE = {
     Structure.BACKGROUND: "background",
@@ -72,6 +73,22 @@ def endplate_id(order_index: int) -> int:
     return ENDPLATE_ID_BASE + order_index
 
 
+def is_vertebra_id(ids):
+    """True where an instance id names a vertebra (1-99); scalars or arrays."""
+    return (ids >= 1) & (ids <= VERTEBRA_ID_MAX)
+
+
+def structure_instance_id(code: int, order_index):
+    """Instance id of a structure keyed to vertebra ``order_index``: the
+    disc id for a disc, the endplate id for an endplate, and the vertebra
+    id for any other code."""
+    if code == Structure.IVD:
+        return ivd_id(order_index)
+    if code == Structure.ENDPLATE:
+        return endplate_id(order_index)
+    return vertebra_id(order_index)
+
+
 def classify_instance_id(value: int) -> tuple[str, int]:
     """Split an instance id into (kind, order_index).
 
@@ -79,12 +96,9 @@ def classify_instance_id(value: int) -> tuple[str, int]:
     order index counts top-down starting at 1.
     """
     value = int(value)
-    if 1 <= value <= 99:
-        return "vertebra", value
-    if IVD_ID_BASE + 1 <= value <= IVD_ID_BASE + 99:
-        return "ivd", value - IVD_ID_BASE
-    if ENDPLATE_ID_BASE + 1 <= value <= ENDPLATE_ID_BASE + 99:
-        return "endplate", value - ENDPLATE_ID_BASE
+    for kind, base in (("vertebra", 0), ("ivd", IVD_ID_BASE), ("endplate", ENDPLATE_ID_BASE)):
+        if is_vertebra_id(value - base):
+            return kind, value - base
     raise ValueError(f"instance id {value} is outside all known ranges")
 
 

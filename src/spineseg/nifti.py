@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import Volume, validate_orientation
+from .volume import AXIS_CODES, Volume, validate_orientation
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
@@ -37,32 +37,15 @@ _DTYPES = {
 _LABEL_CODE = 512  # uint16
 _INTENSITY_CODE = 16  # float32
 
-# code for the direction of increasing world coordinate on each RAS+ axis,
-# and its opposite when the affine column points the other way
-_POS_CODES = ("R", "A", "S")
-_NEG_CODES = ("L", "P", "I")
-
-_WORLD_VECTORS = {
-    "R": (1.0, 0.0, 0.0),
-    "L": (-1.0, 0.0, 0.0),
-    "A": (0.0, 1.0, 0.0),
-    "P": (0.0, -1.0, 0.0),
-    "S": (0.0, 0.0, 1.0),
-    "I": (0.0, 0.0, -1.0),
-}
-
 
 class NiftiError(ValueError):
     """Raised for malformed, truncated, or unsupported NIfTI files."""
 
 
 def _open_for_read(path: Path):
-    raw = open(path, "rb")
-    head = raw.read(2)
-    raw.seek(0)
-    if head == b"\x1f\x8b":
-        return gzip.GzipFile(fileobj=raw)
-    return raw
+    with open(path, "rb") as raw:
+        gzipped = raw.read(2) == b"\x1f\x8b"
+    return gzip.open(path, "rb") if gzipped else open(path, "rb")
 
 
 def _affine_to_codes(affine3: np.ndarray) -> tuple[str, str, str]:
@@ -77,7 +60,8 @@ def _affine_to_codes(affine3: np.ndarray) -> tuple[str, str, str]:
         if i in taken:
             raise NiftiError("affine maps two voxel axes to the same world axis")
         taken.add(i)
-        codes.append(_POS_CODES[i] if col[i] > 0 else _NEG_CODES[i])
+        sign = 1.0 if col[i] > 0 else -1.0
+        codes.append(next(c for c, info in AXIS_CODES.items() if info == (i, sign)))
     return tuple(codes)  # type: ignore[return-value]
 
 
@@ -182,7 +166,8 @@ def read_nifti(path, kind: str | None = None) -> Volume:
 def _build_affine(vol: Volume) -> np.ndarray:
     affine = np.zeros((3, 4), dtype=np.float64)
     for j, code in enumerate(vol.orientation):
-        affine[:, j] = np.array(_WORLD_VECTORS[code]) * vol.spacing[j]
+        axis, sign = AXIS_CODES[code]
+        affine[axis, j] = sign * vol.spacing[j]
     return affine
 
 

@@ -18,16 +18,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .assembly import LABEL_ABOVE, LABEL_BELOW, LABEL_CENTER, vertebra_centroids
-from .labels import (
-    Structure,
-    endplate_id,
-    ivd_id,
-    vertebra_id,
-)
+from .labels import Structure, endplate_id, ivd_id, vertebra_id
+from .pipeline import DEFAULT_SPACING
 from .volume import Volume, binary_erosion, bounding_box, connected_components, window_view
 
 DEFAULT_DIMS = (256, 384, 64)
-DEFAULT_SPACING = (0.75, 0.75, 1.65)
 
 
 @dataclass(frozen=True)
@@ -165,24 +160,11 @@ class _Painter:
 
     def paint_rows(self, code, instance_id, rows, lo_mm, hi_mm, condition):
         """Paint specific axis-1 voxel rows (for 1-voxel endplate layers)."""
-        rows = [r for r in rows if 0 <= r < self.dims[1]]
-        if not rows:
-            return
-        box = self.box_for(
-            (lo_mm[0], self.centers[1][rows[0]], lo_mm[1]),
-            (hi_mm[0], self.centers[1][rows[-1]], hi_mm[1]),
-        )
-        if box is None:
-            return
+        footprint = lambda x, _y, z: condition(x, z)
         for r in rows:
-            x = self.centers[0][box[0]][:, None]
-            z = self.centers[2][box[2]][None, :]
-            mask = condition(x, z)
-            sub = self.semantic[box[0], r, box[2]]
-            sel = mask & (sub == 0)
-            sub[sel] = code
-            if instance_id:
-                self.instance[box[0], r, box[2]][sel] = instance_id
+            if 0 <= r < self.dims[1]:  # row -1 must not wrap to the last row
+                y = self.centers[1][r]
+                self.paint(code, instance_id, (lo_mm[0], y, lo_mm[1]), (hi_mm[0], y, hi_mm[1]), footprint)
 
 
 def _fusion_units(n: int, fuse_pairs) -> list[list[int]]:

@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import CUTOUT_SIZE, PredictorError, assemble, check_answer
+from .labels import Structure
 from .nifti import read_nifti, write_nifti
 from .postproc import enforce_consistency
 from .volume import Volume, resample, to_canonical
 
-N_CLASSES = 15
+N_CLASSES = len(Structure)
 DEFAULT_SPACING = (0.75, 0.75, 1.65)
 
 

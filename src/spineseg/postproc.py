@@ -16,12 +16,7 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .assembly import vertebra_above, vertebra_heights
-from .labels import (
-    Structure,
-    endplate_id,
-    instance_relevant_codes,
-    ivd_id,
-)
+from .labels import instance_relevant_codes, is_vertebra_id, structure_instance_id
 from .volume import Volume, as_array, check_same_grid, connected_components, fill_holes
 
 _RELEVANT = sorted(instance_relevant_codes())
@@ -107,7 +102,7 @@ def enforce_consistency(semantic, instance):
     report.holes_filled += _fill_label_holes(inst)
 
     relevant = _relevant_mask(sem)
-    has_vertebra = bool(((inst >= 1) & (inst < 100) & relevant).any())
+    has_vertebra = bool((is_vertebra_id(inst) & relevant).any())
     if not has_vertebra and relevant.any():
         # no vertebra instance will survive the zero-out step, so nothing
         # can anchor the instance-bearing semantics: demote them instead,
@@ -135,14 +130,8 @@ def enforce_consistency(semantic, instance):
             if target == 0:
                 # no instance contact: key to the nearest vertebra above
                 k, _ = vertebra_above(heights, comps.centroids[ci - 1][1])
-                codes = sem[box][comp]
-                dominant = int(np.argmax(np.bincount(codes)))
-                if dominant == Structure.IVD:
-                    target = ivd_id(k)
-                elif dominant == Structure.ENDPLATE:
-                    target = endplate_id(k)
-                else:
-                    target = k
+                dominant = int(np.argmax(np.bincount(sem[box][comp])))
+                target = structure_instance_id(dominant, k)
             sub = inst[box]
             sub[comp & (sub == 0)] = target
             report.orphans_assigned.append((int(comp.sum()), int(target)))

@@ -16,8 +16,8 @@ import scipy.ndimage as ndi
 
 CANONICAL_ORIENTATION = ("P", "I", "R")
 
-#: code -> (axis family, sign of increasing index in RAS+ world coordinates)
-_CODE_INFO = {
+#: code -> (RAS+ world axis, sign of increasing index along that axis)
+AXIS_CODES = {
     "R": (0, +1.0),
     "L": (0, -1.0),
     "A": (1, +1.0),
@@ -35,9 +35,9 @@ def validate_orientation(codes: Sequence[str]) -> tuple[str, str, str]:
         raise ValueError(f"orientation needs exactly 3 axis codes, got {codes!r}")
     families = []
     for c in codes:
-        if c not in _CODE_INFO:
+        if c not in AXIS_CODES:
             raise ValueError(f"unknown axis code {c!r}")
-        families.append(_CODE_INFO[c][0])
+        families.append(AXIS_CODES[c][0])
     if len(set(families)) != 3:
         raise ValueError(f"orientation {codes!r} repeats an anatomical axis")
     return codes  # type: ignore[return-value]
@@ -120,11 +120,11 @@ def reorient(vol: Volume, target: Sequence[str]) -> Volume:
     back to the source orientation restores the original volume.
     """
     target = validate_orientation(target)
-    src_families = [_CODE_INFO[c][0] for c in vol.orientation]
+    src_families = [AXIS_CODES[c][0] for c in vol.orientation]
     perm = []
     flips = []
     for code in target:
-        family = _CODE_INFO[code][0]
+        family = AXIS_CODES[code][0]
         src_axis = src_families.index(family)
         perm.append(src_axis)
         flips.append(vol.orientation[src_axis] != code)
@@ -252,14 +252,6 @@ def label_centroids(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     return counts, centroids
 
 
-def center_of_mass(mask: np.ndarray) -> tuple[float, float, float]:
-    """Arithmetic mean of the foreground voxel index triples."""
-    counts, centroids = label_centroids(np.asarray(mask) != 0, 1)
-    if counts[0] == 0:
-        raise ValueError("center of mass of an empty component is undefined")
-    return tuple(centroids[0].tolist())
-
-
 def fill_holes(mask: np.ndarray) -> np.ndarray:
     """Fill background cavities not connected to the volume boundary.
 
@@ -313,17 +305,23 @@ def bounding_box(mask: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice
     )
 
 
+def overlap(origin_a, shape_a, origin_b, shape_b):
+    """Where two boxes placed in one index space (origins of any sign)
+    share voxels: ``(slices into a, slices into b)``, or None if nowhere."""
+    lo = [max(oa, ob) for oa, ob in zip(origin_a, origin_b)]
+    hi = [min(oa + sa, ob + sb) for oa, sa, ob, sb in zip(origin_a, shape_a, origin_b, shape_b)]
+    if any(l >= h for l, h in zip(lo, hi)):
+        return None
+    return tuple(
+        tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, origin)) for origin in (origin_a, origin_b)
+    )
+
+
 def window_view(data: np.ndarray, origin, size) -> np.ndarray:
     """Copy a window starting at ``origin`` (any sign), zero-padded where it
     leaves the volume."""
     out = np.zeros(tuple(size), dtype=data.dtype)
-    src = []
-    dst = []
-    for o, s, d in zip(origin, size, data.shape):
-        lo, hi = max(0, o), min(d, o + s)
-        if lo >= hi:
-            return out
-        src.append(slice(lo, hi))
-        dst.append(slice(lo - o, hi - o))
-    out[tuple(dst)] = data[tuple(src)]
+    shared = overlap((0,) * data.ndim, data.shape, origin, size)
+    if shared is not None:
+        out[shared[1]] = data[shared[0]]
     return out

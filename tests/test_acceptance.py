@@ -68,6 +68,7 @@ def vertebra_ids(arr: np.ndarray) -> np.ndarray:
 # --- criterion 1: zero-noise oracle predictors reproduce ground truth ---
 
 
+@pytest.mark.slow
 def test_criterion_1_oracle_end_to_end_equivalence(capfd):
     """20 seeded phantoms, 5..12 vertebrae, one fused pair; exact output,
     < 10 s wall time per default-size phantom."""
@@ -99,6 +100,7 @@ def test_criterion_1_oracle_end_to_end_equivalence(capfd):
 # --- criterion 2: no-skip/no-merge robustness under cutout noise ---
 
 
+@pytest.mark.slow
 def test_criterion_2_no_skip_no_merge_robustness(capfd):
     """100 seeded runs at 10% erosion/labeldrop/down-up per cutout: the
     vertebra count matches ground truth in >= 95 runs, and no run produces

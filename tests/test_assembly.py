@@ -414,6 +414,55 @@ class TestAssembleEndToEnd:
         assert {"cutouts", "groups", "missing_targets", "conflict_voxels"} <= set(d)
         assert len(d["cutouts"]) == 7
 
+    @staticmethod
+    def three_corpora():
+        """Three corpora along axis 1 with a disc below each of the first two."""
+        data = np.zeros((12, 40, 8), dtype=np.uint16)
+        for y in (4, 16, 28):
+            data[4:8, y : y + 4, 2:6] = Structure.CORPUS
+        for y in (10, 22):
+            data[4:8, y : y + 2, 2:6] = Structure.IVD
+        return make_volume(data)
+
+    @staticmethod
+    def vertebrae_in(out):
+        return {int(v) for v in np.unique(out.data) if 1 <= v < 100}
+
+    def test_missing_targets_when_no_window_labels_a_vertebra(self):
+        sem = self.three_corpora()
+
+        class Blank:
+            def predict(self, window, cutout):
+                return np.zeros(window.dims, dtype=np.uint16)
+
+        out, report = assemble(sem, Blank(), cutout_size=(12, 12, 8))
+        assert report.groups == []
+        assert report.missing_targets == [1, 2, 3]
+        assert self.vertebrae_in(out) == set()
+        assert "vertebra groups without output instance: [1, 2, 3]" in report.warnings
+
+    def test_missing_targets_when_reconcile_drops_a_claimed_group(self):
+        sem = self.three_corpora()
+        block = (slice(4, 8), slice(4, 8), slice(2, 6))  # the first corpus
+
+        class SameBlock:
+            """Every window (the whole volume) labels the first corpus as its
+            center vertebra."""
+
+            def predict(self, window, cutout):
+                out = np.zeros(window.dims, dtype=np.uint16)
+                out[block] = 2
+                return out
+
+        out, report = assemble(sem, SameBlock(), cutout_size=sem.dims)
+        assert [g["target_index"] for g in report.groups] == [1, 2, 3]
+        assert report.missing_targets == [2, 3]
+        assert self.vertebrae_in(out) == {1}
+        assert (out.data[block] == 1).all()
+        # the discs still take ids keyed to vertebra 1, which are not vertebra ids
+        assert set(np.unique(out.data)) == {0, 1, 101}
+        assert "vertebra groups without output instance: [2, 3]" in report.warnings
+
     def test_predictor_shape_is_validated(self, standard_phantom):
         _, sem, inst = standard_phantom
 

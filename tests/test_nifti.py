@@ -6,6 +6,7 @@ reader against an independent construction rather than the package's own
 writer.
 """
 
+import builtins
 import gzip
 import struct
 
@@ -103,6 +104,31 @@ class TestRoundTrip:
                 p = tmp_path / "o.nii"
                 write_nifti(vol, p)
                 assert read_nifti(p).orientation == codes
+
+    @pytest.mark.parametrize("name", ["v.nii", "v.nii.gz", "short.nii.gz"])
+    def test_read_closes_every_file_it_opens(self, name, tmp_path, monkeypatch):
+        path = tmp_path / name
+        if name.startswith("short"):
+            path.write_bytes(gzip.compress(b"\x00" * 20))
+        else:
+            write_nifti(Volume(np.ones((2, 3, 4), dtype=np.uint16), kind="semantic"), path)
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        if name.startswith("short"):
+            with pytest.raises(NiftiError):
+                read_nifti(path)
+        else:
+            read_nifti(path)
+        monkeypatch.undo()
+        assert opened
+        assert all(fh.closed for fh in opened)
 
     def test_label_range_guard(self, tmp_path):
         vol = Volume(np.full((2, 2, 2), 70000, dtype=np.int64), kind="instance")

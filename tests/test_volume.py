@@ -8,12 +8,13 @@ from spineseg.volume import (
     CANONICAL_ORIENTATION,
     Volume,
     bounding_box,
-    center_of_mass,
     connected_components,
     fill_holes,
+    overlap,
     reorient,
     resample,
     to_canonical,
+    window_view,
 )
 
 _CODE_VEC = {
@@ -296,24 +297,64 @@ class TestConnectedComponents:
         assert not cs.labels.any()
 
 
-class TestCenterOfMass:
-    def test_single_voxel(self):
-        mask = np.zeros((5, 5, 5), dtype=bool)
-        mask[2, 3, 4] = True
-        assert center_of_mass(mask) == (2.0, 3.0, 4.0)
+def brute_force_overlap(origin_a, shape_a, origin_b, shape_b):
+    """Corresponding (a, b) flat indices of the voxels two boxes share,
+    found by painting both into one large array."""
+    pad = 40
+    canvas_a = np.full((120, 120, 120), -1)
+    canvas_b = np.full((120, 120, 120), -1)
+    for canvas, origin, shape in ((canvas_a, origin_a, shape_a), (canvas_b, origin_b, shape_b)):
+        place = tuple(slice(o + pad, o + pad + s) for o, s in zip(origin, shape))
+        canvas[place] = np.arange(int(np.prod(shape))).reshape(shape)
+    both = (canvas_a >= 0) & (canvas_b >= 0)
+    return sorted(zip(canvas_a[both].tolist(), canvas_b[both].tolist()))
 
-    def test_mean_of_indices(self):
-        mask = np.zeros((5, 5, 5), dtype=bool)
-        pts = [(0, 0, 0), (4, 2, 0), (2, 4, 3)]
-        for p in pts:
-            mask[p] = True
-        want = tuple(np.mean([p[a] for p in pts]) for a in range(3))
-        got = center_of_mass(mask)
-        assert np.allclose(got, want)
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            center_of_mass(np.zeros((2, 2, 2), dtype=bool))
+class TestOverlap:
+    def check(self, origin_a, shape_a, origin_b, shape_b):
+        want = brute_force_overlap(origin_a, shape_a, origin_b, shape_b)
+        got = overlap(origin_a, shape_a, origin_b, shape_b)
+        if got is None:
+            assert want == []
+            return
+        ids_a = np.arange(int(np.prod(shape_a))).reshape(shape_a)[got[0]]
+        ids_b = np.arange(int(np.prod(shape_b))).reshape(shape_b)[got[1]]
+        assert ids_a.size > 0
+        assert sorted(zip(ids_a.ravel().tolist(), ids_b.ravel().tolist())) == want
+
+    def test_random_boxes(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            origins = rng.integers(-20, 30, size=(2, 3))
+            shapes = rng.integers(1, 25, size=(2, 3))
+            self.check(tuple(origins[0]), tuple(shapes[0]), tuple(origins[1]), tuple(shapes[1]))
+
+    def test_negative_origins(self):
+        self.check((-5, -3, -7), (10, 6, 20), (0, 0, 0), (4, 4, 4))
+        self.check((-5, -3, -7), (10, 6, 20), (-8, -1, -2), (4, 9, 3))
+
+    def test_disjoint_boxes(self):
+        assert overlap((0, 0, 0), (4, 4, 4), (10, 0, 0), (4, 4, 4)) is None
+        assert overlap((-6, 0, 0), (4, 4, 4), (0, 0, 0), (4, 4, 4)) is None
+
+    def test_boxes_touching_at_an_edge_share_nothing(self):
+        assert overlap((0, 0, 0), (4, 4, 4), (4, 0, 0), (4, 4, 4)) is None
+        assert overlap((0, 0, 0), (4, 4, 4), (0, -3, 0), (4, 3, 4)) is None
+        self.check((0, 0, 0), (4, 4, 4), (3, 3, 3), (4, 4, 4))
+
+    def test_window_view_pads_outside_the_volume(self):
+        data = np.arange(1, 4 * 5 * 6 + 1).reshape(4, 5, 6)
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            origin = tuple(int(v) for v in rng.integers(-8, 8, size=3))
+            size = tuple(int(v) for v in rng.integers(1, 12, size=3))
+            want = np.zeros(size, dtype=data.dtype)
+            for idx in np.ndindex(*size):
+                src = tuple(o + i for o, i in zip(origin, idx))
+                if all(0 <= v < d for v, d in zip(src, data.shape)):
+                    want[idx] = data[src]
+            got = window_view(data, origin, size)
+            assert got.dtype == data.dtype and np.array_equal(got, want)
 
 
 def oracle_fill_holes(mask):
