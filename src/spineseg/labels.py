@@ -38,6 +38,7 @@ class Structure(IntEnum):
 IVD_ID_BASE = 100
 ENDPLATE_ID_BASE = 200
 VERTEBRA_ID_MAX = IVD_ID_BASE - 1
+LABEL_MAX = 65535  # the largest label a mask file stores (unsigned 16-bit)
 
 _KIND_BY_CODE = {
     Structure.BACKGROUND: "background",

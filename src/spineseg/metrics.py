@@ -2,18 +2,20 @@
 matching, panoptic quality, and the paired significance test.
 
 Masks may be passed as Volume objects (grids are then checked for
-compatibility) or as plain boolean/integer arrays of equal shape.
+compatibility) or as plain boolean/integer arrays of equal shape. Each
+report reads every overlap count from one label-pair table.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage as ndi
 
-from .labels import Structure, classify_instance_id
+from .labels import LABEL_MAX, Structure, classify_instance_id
 from .volume import Volume, as_array, check_same_grid
 
 INSTANCE_KINDS = ("vertebra", "ivd", "endplate")
@@ -52,6 +54,13 @@ def surface_mask(mask: np.ndarray) -> np.ndarray:
     return m & ~interior
 
 
+def _spacing(a, b, spacing=None):
+    """The given spacing, else pred's, else ref's (when a Volume), else 1 mm."""
+    if spacing is None:
+        spacing = next((x.spacing for x in (a, b) if isinstance(x, Volume)), (1.0, 1.0, 1.0))
+    return spacing
+
+
 def assd(a, b, spacing=None) -> float:
     """Average symmetric surface distance in millimetres.
 
@@ -59,13 +68,7 @@ def assd(a, b, spacing=None) -> float:
     exact Euclidean, averaged over both surface-to-surface directions.
     """
     check_same_grid(a, b)
-    if spacing is None:
-        if isinstance(a, Volume):
-            spacing = a.spacing
-        elif isinstance(b, Volume):
-            spacing = b.spacing
-        else:
-            spacing = (1.0, 1.0, 1.0)
+    spacing = _spacing(a, b, spacing)
     ma, mb = as_array(a) != 0, as_array(b) != 0
     if not ma.any() or not mb.any():
         raise ValueError("surface distance is undefined for an empty mask")
@@ -77,13 +80,45 @@ def assd(a, b, spacing=None) -> float:
     return total / (na + nb)
 
 
+def _label_pairs(pa: np.ndarray, ra: np.ndarray) -> dict[tuple[int, int], int]:
+    """Voxel count of every (pred label, ref label) pair, background included."""
+    sides = [arr.astype(np.int64) for arr in (pa, ra)]  # int64 + uint64 would be float
+    for arr, labels in zip((pa, ra), sides):
+        if labels.size and (labels.min() < 0 or labels.max() > LABEL_MAX or not np.array_equal(labels, arr)):
+            raise ValueError(f"labels must be whole numbers in 0..{LABEL_MAX}; found {arr.min()}..{arr.max()}")
+    base = LABEL_MAX + 1
+    uniq, counts = np.unique(sides[0] * base + sides[1], return_counts=True)
+    return {divmod(int(k), base): int(n) for k, n in zip(uniq, counts)}
+
+
+def _sizes(table: dict) -> tuple[Counter, Counter]:
+    """The table's marginals: voxels per pred label and per ref label."""
+    size_p, size_r = Counter(), Counter()
+    for (p, r), n in table.items():
+        size_p[p] += n
+        size_r[r] += n
+    return size_p, size_r
+
+
+def _of_kind(table: dict, kind: str | None) -> Counter:
+    """The table with every label outside one id family counted as
+    background (``kind=None`` keeps every label). Each nonzero label is
+    classified, so an id outside all families raises ValueError."""
+    labels = {v for pair in table for v in pair if v}
+    kept = {v: v if kind is None or classify_instance_id(v)[0] == kind else 0 for v in labels}
+    out = Counter()
+    for (p, r), n in table.items():
+        out[kept.get(p, 0), kept.get(r, 0)] += n
+    return out
+
+
 def dice_from_iou(value: float) -> float:
     return 2.0 * value / (1.0 + value)
 
 
 @dataclass
 class InstanceMatching:
-    """One-to-one instance correspondence at an IoU threshold.
+    """One-to-one instance correspondence at IoU >= 0.5.
 
     ``pairs`` holds (predicted id, reference id, IoU) triples; unmatched
     predictions are false positives, unmatched references false negatives.
@@ -92,7 +127,6 @@ class InstanceMatching:
     pairs: list[tuple[int, int, float]] = field(default_factory=list)
     unmatched_pred: list[int] = field(default_factory=list)
     unmatched_ref: list[int] = field(default_factory=list)
-    threshold: float = 0.5
 
     @property
     def tp(self) -> int:
@@ -107,45 +141,13 @@ class InstanceMatching:
         return len(self.unmatched_ref)
 
 
-def _ids_of_kind(arr: np.ndarray, kind: str | None) -> list[int]:
-    ids = [int(v) for v in np.unique(arr) if v != 0]
-    if kind is None:
-        return ids
-    return [v for v in ids if classify_instance_id(v)[0] == kind]
-
-
-def match_instances(pred, ref, kind: str | None = None, threshold: float = 0.5) -> InstanceMatching:
-    """Greedy one-to-one matching of instance ids by descending IoU.
-
-    Above threshold 0.5 the partner of each instance is forced (no two
-    disjoint predictions can both overlap one reference that much), so the
-    greedy order only arbitrates exact-threshold ties. ``kind`` restricts
-    the matching to one id family (vertebra, ivd, endplate).
-    """
-    check_same_grid(pred, ref)
-    pa, ra = as_array(pred), as_array(ref)
-    pred_ids = _ids_of_kind(pa, kind)
-    ref_ids = _ids_of_kind(ra, kind)
-    if kind is not None:
-        keep_p = np.isin(pa, pred_ids)
-        keep_r = np.isin(ra, ref_ids)
-        pa = np.where(keep_p, pa, 0)
-        ra = np.where(keep_r, ra, 0)
-
-    pred_sizes = np.bincount(pa[pa > 0].astype(np.intp))
-    ref_sizes = np.bincount(ra[ra > 0].astype(np.intp))
-
-    both = (pa > 0) & (ra > 0)
+def _match(table: dict) -> InstanceMatching:
+    size_p, size_r = _sizes(table)
     candidates = []
-    if both.any():
-        keys = pa[both].astype(np.int64) * (int(ra.max()) + 1) + ra[both].astype(np.int64)
-        uniq, counts = np.unique(keys, return_counts=True)
-        base = int(ra.max()) + 1
-        for key, inter in zip(uniq, counts):
-            p, r = int(key) // base, int(key) % base
-            union = int(pred_sizes[p]) + int(ref_sizes[r]) - int(inter)
-            value = int(inter) / union
-            if value >= threshold:
+    for (p, r), inter in table.items():
+        if p and r:
+            value = inter / (size_p[p] + size_r[r] - inter)
+            if value >= 0.5:
                 candidates.append((p, r, value))
     candidates.sort(key=lambda t: (-t[2], t[0], t[1]))
 
@@ -158,10 +160,21 @@ def match_instances(pred, ref, kind: str | None = None, threshold: float = 0.5) 
         pairs.append((p, r, value))
     return InstanceMatching(
         pairs=pairs,
-        unmatched_pred=sorted(set(pred_ids) - used_p),
-        unmatched_ref=sorted(set(ref_ids) - used_r),
-        threshold=threshold,
+        unmatched_pred=sorted(set(size_p) - used_p - {0}),
+        unmatched_ref=sorted(set(size_r) - used_r - {0}),
     )
+
+
+def match_instances(pred, ref, kind: str | None = None) -> InstanceMatching:
+    """Greedy one-to-one matching of instance ids by descending IoU.
+
+    Above IoU 0.5 the partner of each instance is forced (no two disjoint
+    predictions can both overlap one reference that much), so the greedy
+    order only arbitrates exact-threshold ties. ``kind`` restricts the
+    matching to one id family (vertebra, ivd, endplate).
+    """
+    check_same_grid(pred, ref)
+    return _match(_of_kind(_label_pairs(as_array(pred), as_array(ref)), kind))
 
 
 @dataclass
@@ -215,17 +228,10 @@ def _exact_two_sided_p(doubled_ranks: np.ndarray, doubled_stat: int) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - 0.5 * (counts - 1))[inverse]
 
 
 def wilcoxon_signed_rank(x, y, exact_limit: int = 25) -> WilcoxonResult:
@@ -266,49 +272,40 @@ def wilcoxon_signed_rank(x, y, exact_limit: int = 25) -> WilcoxonResult:
     return WilcoxonResult(statistic=stat, p_value=p, n=n)
 
 
-def semantic_report(pred, ref, spacing=None, codes=None) -> dict:
+def semantic_report(pred, ref, spacing=None) -> dict:
     """Per-structure DSC (always) and ASSD (when both sides non-empty)."""
     check_same_grid(pred, ref)
+    spacing = _spacing(pred, ref, spacing)
     pa, ra = as_array(pred), as_array(ref)
-    if spacing is None and isinstance(pred, Volume):
-        spacing = pred.spacing
-    if codes is None:
-        codes = sorted(set(np.unique(pa)) | set(np.unique(ra)))
-        codes = [int(c) for c in codes if c != 0]
+    table = _label_pairs(pa, ra)
+    size_p, size_r = _sizes(table)
+    names = {int(s): s.name.lower() for s in Structure}
     entries = {}
-    for code in codes:
-        mp, mr = pa == code, ra == code
-        entry = {"DSC": dice(mp, mr)}
-        entry["ASSD"] = assd(mp, mr, spacing) if mp.any() and mr.any() else None
-        try:
-            name = Structure(code).name.lower()
-        except ValueError:
-            name = str(code)
-        entries[name] = entry
+    for code in sorted((set(size_p) | set(size_r)) - {0}):
+        entries[names.get(code, str(code))] = {
+            "DSC": 2.0 * table.get((code, code), 0) / (size_p[code] + size_r[code]),
+            "ASSD": assd(pa == code, ra == code, spacing) if size_p[code] and size_r[code] else None,
+        }
     return entries
 
 
-def instance_report(pred, ref, spacing=None, kinds=INSTANCE_KINDS) -> dict:
+def instance_report(pred, ref, spacing=None) -> dict:
     """Panoptic scores plus global/instance-wise DSC and ASSD per id family."""
     check_same_grid(pred, ref)
+    spacing = _spacing(pred, ref, spacing)
     pa, ra = as_array(pred), as_array(ref)
-    if spacing is None and isinstance(pred, Volume):
-        spacing = pred.spacing
+    table = _label_pairs(pa, ra)
     out = {}
-    for kind in kinds:
-        matching = match_instances(pa, ra, kind=kind)
+    for kind in INSTANCE_KINDS:
+        kind_table = _of_kind(table, kind)
+        matching = _match(kind_table)
         scores = panoptic(matching)
-        pred_ids = _ids_of_kind(pa, kind)
-        ref_ids = _ids_of_kind(ra, kind)
-        union_p = np.isin(pa, pred_ids) if pred_ids else np.zeros_like(pa, dtype=bool)
-        union_r = np.isin(ra, ref_ids) if ref_ids else np.zeros_like(ra, dtype=bool)
-        pair_dsc = []
-        pair_assd = []
-        for p, r, value in matching.pairs:
-            pair_dsc.append(dice_from_iou(value))
-            pair_assd.append(assd(pa == p, ra == r, spacing))
+        inter = sum(n for (p, r), n in kind_table.items() if p and r)
+        size = sum(n * ((p != 0) + (r != 0)) for (p, r), n in kind_table.items())
+        pair_dsc = [dice_from_iou(value) for _, _, value in matching.pairs]
+        pair_assd = [assd(pa == p, ra == r, spacing) for p, r, _ in matching.pairs]
         out[kind] = {
-            "DSC": dice(union_p, union_r),
+            "DSC": 2.0 * inter / size if size else 1.0,
             "instance_DSC": float(np.mean(pair_dsc)) if pair_dsc else None,
             "RQ": scores.rq,
             "SQ": scores.sq,

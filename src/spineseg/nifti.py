@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .labels import LABEL_MAX
 from .volume import AXIS_CODES, Volume, validate_orientation
 
 HEADER_SIZE = 348
@@ -181,7 +182,7 @@ def write_nifti(vol: Volume, path) -> None:
     validate_orientation(vol.orientation)
     if vol.is_label:
         data = np.asarray(vol.data)
-        if data.min() < 0 or data.max() > np.iinfo(np.uint16).max:
+        if data.min() < 0 or data.max() > LABEL_MAX:
             raise NiftiError("label values outside the unsigned 16-bit range")
         payload = data.astype("<u2")
         datatype, bitpix = _LABEL_CODE, 16

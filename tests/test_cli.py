@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, produced files, reproducibility."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -303,6 +304,19 @@ class TestEvaluate:
         code = run_cli("evaluate", "--pred", phantom_dir / "semantic.nii.gz",
                        "--ref", tmp_path / "small.nii.gz", "--json", json_path)
         assert code == 1
+        assert not json_path.exists()
+
+    def test_label_outside_the_stored_range_exits_one(self, tmp_path):
+        data = np.zeros((4, 4, 4), dtype=np.uint16)
+        data[0, 0, 0] = 65535  # reads back as -1 once the header says int16
+        path = tmp_path / "negative.nii"
+        write_nifti(Volume(data, kind="semantic"), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<h", raw, 70, 4)  # datatype code 4: int16
+        path.write_bytes(bytes(raw))
+        assert read_nifti(path).data.min() == -1
+        json_path = tmp_path / "eval.json"
+        assert run_cli("evaluate", "--pred", path, "--ref", path, "--json", json_path) == 1
         assert not json_path.exists()
 
 

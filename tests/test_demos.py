@@ -1,0 +1,42 @@
+"""The fast demos run to completion from a checkout.
+
+Each demo runs as its own process with ``src`` on the import path, the way
+a reader runs it. The three long demos (two_phase_pipeline,
+robustness_sweep, external_predictor; about a minute or more each) are
+left out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_demo(name: str) -> str:
+    src = str(ROOT / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_metrics_tour_prints_the_hand_checked_values():
+    out = run_demo("metrics_tour")
+    assert "dice 0.500000" in out
+    assert "RQ 0.6667  SQ 0.7000  PQ 0.4667" in out
+    assert "p = 0.0625" in out
+
+
+@pytest.mark.parametrize("name", ["annotation_fusion", "phantom_gallery"])
+def test_demo_exits_zero(name):
+    run_demo(name)

@@ -1,5 +1,6 @@
 """Metric implementations against brute-force oracles and hand fixtures."""
 
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -20,6 +21,7 @@ from spineseg.metrics import (
     surface_mask,
     wilcoxon_signed_rank,
 )
+from spineseg.labels import Structure, classify_instance_id
 from spineseg.volume import Volume
 
 
@@ -370,8 +372,7 @@ class TestReports:
         for _ in range(20):
             pred = rng.integers(0, 4, size=(4, 8, 4)).astype(np.int32)
             ref = rng.integers(0, 4, size=(4, 8, 4)).astype(np.int32)
-            rep = instance_report(pred, ref, spacing=(1, 1, 1), kinds=("vertebra",))
-            e = rep["vertebra"]
+            e = instance_report(pred, ref, spacing=(1, 1, 1))["vertebra"]
             assert abs(e["PQ"] - e["SQ"] * e["RQ"]) < 1e-12
 
     def test_evaluate_requires_instance_pair(self):
@@ -384,3 +385,178 @@ class TestReports:
         inst = place((2, 6, 2), (1, (slice(None), slice(0, 3), slice(None))))
         rep = evaluate_segmentation(sem, sem, inst, inst, spacing=(1, 1, 1))
         assert "semantic" in rep and "instances" in rep
+
+
+# --- the per-label evaluation that the label-pair table replaced -------------
+# Kept verbatim in behaviour as the reference: one boolean mask per code or id
+# and np.isin unions per id family.
+
+
+def _reference_ids_of_kind(arr, kind):
+    ids = [int(v) for v in np.unique(arr) if v != 0]
+    if kind is None:
+        return ids
+    return [v for v in ids if classify_instance_id(v)[0] == kind]
+
+
+def reference_match_instances(pa, ra, kind=None):
+    pred_ids = _reference_ids_of_kind(pa, kind)
+    ref_ids = _reference_ids_of_kind(ra, kind)
+    if kind is not None:
+        pa = np.where(np.isin(pa, pred_ids), pa, 0)
+        ra = np.where(np.isin(ra, ref_ids), ra, 0)
+    pred_sizes = np.bincount(pa[pa > 0].astype(np.intp))
+    ref_sizes = np.bincount(ra[ra > 0].astype(np.intp))
+    both = (pa > 0) & (ra > 0)
+    candidates = []
+    if both.any():
+        base = int(ra.max()) + 1
+        keys = pa[both].astype(np.int64) * base + ra[both].astype(np.int64)
+        for key, inter in zip(*np.unique(keys, return_counts=True)):
+            p, r = int(key) // base, int(key) % base
+            value = int(inter) / (int(pred_sizes[p]) + int(ref_sizes[r]) - int(inter))
+            if value >= 0.5:
+                candidates.append((p, r, value))
+    candidates.sort(key=lambda t: (-t[2], t[0], t[1]))
+    used_p, used_r, pairs = set(), set(), []
+    for p, r, value in candidates:
+        if p not in used_p and r not in used_r:
+            used_p.add(p)
+            used_r.add(r)
+            pairs.append((p, r, value))
+    return InstanceMatching(pairs, sorted(set(pred_ids) - used_p), sorted(set(ref_ids) - used_r))
+
+
+def reference_semantic_report(pa, ra, spacing):
+    codes = [int(c) for c in sorted(set(np.unique(pa)) | set(np.unique(ra))) if c != 0]
+    entries = {}
+    for code in codes:
+        mp, mr = pa == code, ra == code
+        entry = {"DSC": dice(mp, mr), "ASSD": assd(mp, mr, spacing) if mp.any() and mr.any() else None}
+        try:
+            entries[Structure(code).name.lower()] = entry
+        except ValueError:
+            entries[str(code)] = entry
+    return entries
+
+
+def reference_instance_report(pa, ra, spacing):
+    out = {}
+    for kind in ("vertebra", "ivd", "endplate"):
+        matching = reference_match_instances(pa, ra, kind)
+        scores = panoptic(matching)
+        union_p = np.isin(pa, _reference_ids_of_kind(pa, kind))
+        union_r = np.isin(ra, _reference_ids_of_kind(ra, kind))
+        pair_dsc = [dice_from_iou(v) for _, _, v in matching.pairs]
+        pair_assd = [assd(pa == p, ra == r, spacing) for p, r, _ in matching.pairs]
+        out[kind] = {
+            "DSC": dice(union_p, union_r),
+            "instance_DSC": float(np.mean(pair_dsc)) if pair_dsc else None,
+            "RQ": scores.rq,
+            "SQ": scores.sq,
+            "PQ": scores.pq,
+            "ASSD": float(np.mean(pair_assd)) if pair_assd else None,
+            "TP": scores.tp,
+            "FP": scores.fp,
+            "FN": scores.fn,
+        }
+    return out
+
+
+KIND_IDS = {"vertebra": [1, 2, 3, 5, 99], "ivd": [101, 102, 103, 199], "endplate": [201, 202, 203, 255]}
+
+
+def random_instance_mask(rng, shape, dtype):
+    """Slabs of ids from a random subset of the three families (possibly none),
+    so that IoUs of exactly 0.5 and families absent on one side both occur."""
+    arr = np.zeros(shape, dtype=np.int64)
+    for ids in KIND_IDS.values():
+        if rng.random() < 0.35:
+            continue
+        for v in rng.choice(ids, size=int(rng.integers(1, 4)), replace=False):
+            lo = int(rng.integers(0, shape[1]))
+            arr[:, lo : lo + int(rng.integers(1, 4)), :] = v
+    if rng.random() < 0.3:
+        noise = rng.random(shape) < 0.1
+        arr[noise] = rng.choice(KIND_IDS["vertebra"] + KIND_IDS["ivd"], size=int(noise.sum()))
+    return arr.astype(dtype)
+
+
+def random_semantic_mask(rng, shape, dtype):
+    if rng.random() < 0.1:
+        return np.zeros(shape, dtype=dtype)
+    codes = rng.integers(0, 16, size=shape)  # 15 is outside the taxonomy: named "15"
+    return (codes * (rng.random(shape) < rng.uniform(0.2, 0.9))).astype(dtype)
+
+
+def random_evaluation_cases(n, seed=41):
+    rng = np.random.default_rng(seed)
+    dtypes = (np.uint8, np.uint16, np.int32, np.int64)
+    for i in range(n):
+        shape = tuple(int(v) for v in rng.integers(2, 9, size=3))
+        dtype = dtypes[i % len(dtypes)]
+        masks = [random_semantic_mask(rng, shape, dtype) for _ in range(2)]
+        masks += [random_instance_mask(rng, shape, dtype) for _ in range(2)]
+        if i % 7 == 0:
+            masks[2] = np.zeros(shape, dtype=dtype)
+        if i % 11 == 0:
+            masks[3] = np.zeros(shape, dtype=dtype)
+        spacing = tuple(float(v) for v in rng.uniform(0.5, 2.0, size=3).round(2))
+        yield i, masks, spacing
+
+
+class TestLabelPairTable:
+    def test_reports_and_matchings_equal_the_per_label_reference(self):
+        matched = ties = 0
+        for i, (ps, rs, pi, ri), spacing in random_evaluation_cases(120):
+            want = {
+                "semantic": reference_semantic_report(ps, rs, spacing),
+                "instances": reference_instance_report(pi, ri, spacing),
+            }
+            if i % 2:
+                kinds = ("semantic", "semantic", "instance", "instance")
+                got = evaluate_segmentation(*(Volume(m, spacing, kind=k) for m, k in zip((ps, rs, pi, ri), kinds)))
+            else:
+                got = evaluate_segmentation(ps, rs, pi, ri, spacing=spacing)
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), f"case {i}"
+            for kind in (None, "vertebra", "ivd", "endplate"):
+                m, w = match_instances(pi, ri, kind=kind), reference_match_instances(pi, ri, kind)
+                assert (m.pairs, m.unmatched_pred, m.unmatched_ref) == (w.pairs, w.unmatched_pred, w.unmatched_ref)
+                matched += m.tp
+                ties += sum(v == 0.5 for _, _, v in m.pairs)
+        assert matched > 100 and ties > 5  # the cases exercise the matching and its 0.5 bound
+
+    @pytest.mark.parametrize("bad_id", [100, 300])
+    def test_ids_outside_every_family_still_raise(self, bad_id):
+        arr = np.zeros((2, 4, 2), dtype=np.uint16)
+        arr[:, 0] = 1
+        arr[:, 2] = bad_id
+        with pytest.raises(ValueError):
+            instance_report(arr, arr, spacing=(1, 1, 1))
+        with pytest.raises(ValueError):
+            match_instances(arr, arr, kind="vertebra")
+        assert match_instances(arr, arr).tp == 2  # kind=None classifies nothing
+
+    @pytest.mark.parametrize(
+        "dtype, value",
+        [(np.int16, -1), (np.int64, -7), (np.int32, 65536), (np.uint32, 2**32 - 1), (np.float32, 1.5)],
+    )
+    def test_labels_outside_the_stored_range_are_rejected(self, dtype, value):
+        bad = np.zeros((2, 3, 2), dtype=dtype)
+        bad[0, 0, 0] = value
+        good = np.zeros((2, 3, 2), dtype=dtype)
+        for report in (semantic_report, instance_report, match_instances):
+            for pred, ref in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError, match="0..65535"):
+                    report(pred, ref)
+
+    def test_reports_take_spacing_like_assd(self):
+        pred = np.zeros((1, 1, 4), dtype=np.uint16)
+        ref = np.zeros((1, 1, 4), dtype=np.uint16)
+        pred[0, 0, 0:2] = 1
+        ref[0, 0, 0:3] = 1  # IoU 2/3: the vertebra pair matches
+        ref_vol = Volume(ref, (2.0, 2.0, 2.0), kind="semantic")
+        want = assd(pred, ref_vol)
+        assert want == 2 * assd(pred, ref)
+        assert semantic_report(pred, ref_vol)["corpus"]["ASSD"] == want
+        assert instance_report(pred, ref_vol.with_data(ref, kind="instance"))["vertebra"]["ASSD"] == want
