@@ -139,10 +139,8 @@ def cmd_fuse(args) -> int:
 
     # cord ran before endplate synthesis; count the voxels where the
     # opposite order would have answered differently
-    no_cord = sources.base.data.copy()
-    overlay = (no_cord == 0) & (sub.data > 0)
-    no_cord[overlay] = sub.data[overlay]
-    alt = synthesize_endplates(base.with_data(no_cord, kind="semantic"))
+    no_cord = AnnotationSources(base, sub, cord.with_data(np.zeros_like(cord.data)))
+    alt = synthesize_endplates(merge_sources(no_cord))
     order_sensitive = int(((alt.data == Structure.ENDPLATE) & (cord.data > 0)).sum())
 
     out_path = Path(args.out)

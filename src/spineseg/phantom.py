@@ -13,14 +13,15 @@ bridge and count as a single instance unit, with no disc between them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+import scipy.ndimage as ndi
 
 from .assembly import LABEL_ABOVE, LABEL_BELOW, LABEL_CENTER, vertebra_centroids
 from .labels import Structure, endplate_id, ivd_id, vertebra_id
 from .pipeline import DEFAULT_SPACING
-from .volume import Volume, binary_erosion, bounding_box, connected_components, window_view
+from .volume import Volume, binary_erosion, connected_components, overlap, window_view
 
 DEFAULT_DIMS = (256, 384, 64)
 
@@ -83,8 +84,9 @@ class NoiseSpec:
     """Per-structure corruption levels mirroring the training augmentations:
     random erosion, random label drop (per connected region), and random
     downsample-then-upsample, each applied with 10% probability by default.
-    ``boundary_jitter_mm`` adds a random whole-mask shift of up to that
-    many millimetres per axis.
+    ``boundary_jitter_mm`` moves each structure's mask by a random shift of
+    up to that many millimetres per axis; voxels shifted past an edge are
+    dropped, and nothing wraps around.
     """
 
     p_erosion: float = 0.1
@@ -366,68 +368,66 @@ def _patch_seed(base_seed: int, token) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _corrupt_binary(mask: np.ndarray, noise: NoiseSpec, rng: np.random.Generator, spacing) -> np.ndarray:
-    # the shrink/drop/resample ops run on a bounding box, not the full
-    # grid; the box start is floored to even indices so the ::2 phase of
-    # the downsample matches the full-grid result, and the high side gets
-    # two voxels of slack for the upsample spill. rng draws must not
-    # depend on the crop, so the probability draws happen unconditionally.
-    box = bounding_box(mask)
+def _corrupt_label(data: np.ndarray, value: int, box, noise: NoiseSpec, rng: np.random.Generator, spacing):
+    """Corrupt the voxels of ``value`` inside its box (None when absent).
+
+    Returns ``(crop, origin)``: the corrupted mask of the widened box and
+    where it lands in ``data``, jitter included; or None for an absent
+    label. Every probability and jitter draw is made even for an absent
+    label, since a caller may share ``rng`` across labels.
+    """
+    # the box start is floored to even indices so the ::2 phase of the
+    # downsample matches the full-grid result, and the high side gets two
+    # voxels of slack for the upsample spill
+    crop = origin = None
     if box is not None:
-        box = tuple(
-            slice((s.start // 2) * 2, min(s.stop + 2, dim))
-            for s, dim in zip(box, mask.shape)
-        )
-        sub = mask[box].copy()
-    else:
-        sub = None
-    if rng.random() < noise.p_erosion and noise.erosion_radius > 0 and sub is not None:
-        sub = binary_erosion(sub, noise.erosion_radius)
-    if noise.p_labeldrop > 0 and sub is not None:
-        comps = connected_components(sub, connectivity=26)
-        for cid in range(1, comps.count + 1):
-            if rng.random() < noise.p_labeldrop:
-                sub[comps.labels == cid] = False
-    if rng.random() < noise.p_downup and sub is not None:
-        down = sub[::2, ::2, ::2]
+        box = tuple(slice((s.start // 2) * 2, min(s.stop + 2, dim)) for s, dim in zip(box, data.shape))
+        crop = data[box] == value
+        origin = np.array([s.start for s in box])
+    if rng.random() < noise.p_erosion and noise.erosion_radius > 0 and crop is not None:
+        crop = binary_erosion(crop, noise.erosion_radius)
+    if noise.p_labeldrop > 0 and crop is not None:
+        comps = connected_components(crop, connectivity=26)
+        keep = np.concatenate(([False], rng.random(comps.count) >= noise.p_labeldrop))
+        crop = keep[comps.labels]
+    if rng.random() < noise.p_downup and crop is not None:
+        down = crop[::2, ::2, ::2]
         up = np.repeat(np.repeat(np.repeat(down, 2, axis=0), 2, axis=1), 2, axis=2)
-        sub = up[tuple(slice(0, s) for s in sub.shape)]
-    if sub is None:
-        out = mask.copy()
-    else:
-        out = np.zeros_like(mask)
-        out[box] = sub
+        crop = up[tuple(slice(0, s) for s in crop.shape)]
     if noise.boundary_jitter_mm > 0:
         shift = [int(round(rng.uniform(-noise.boundary_jitter_mm, noise.boundary_jitter_mm) / s)) for s in spacing]
-        if any(shift):
-            out = np.roll(out, shift, axis=(0, 1, 2))
-            for axis, dv in enumerate(shift):
-                idx = [slice(None)] * 3
-                if dv > 0:
-                    idx[axis] = slice(0, dv)
-                elif dv < 0:
-                    idx[axis] = slice(dv, None)
-                else:
-                    continue
-                out[tuple(idx)] = False
-    return out
+        if crop is not None:
+            origin = origin + shift
+    return None if crop is None else (crop, origin)
+
+
+def _paint(out: np.ndarray, value: int, crop: np.ndarray, origin) -> None:
+    """First-wins: write ``value`` where ``crop``, placed at ``origin``,
+    meets background of ``out``; the part of ``crop`` outside ``out`` is lost."""
+    shared = overlap((0,) * out.ndim, out.shape, origin, crop.shape)
+    if shared is not None:
+        region = out[shared[0]]
+        region[crop[shared[1]] & (region == 0)] = value
 
 
 def corrupt_semantic(gt: Volume, noise: NoiseSpec) -> Volume:
     """Apply the corruption model structure by structure.
 
-    Deterministic for a given (volume, noise) pair; with all probabilities
-    and jitter at zero the input is returned unchanged. Output labels are
-    a subset of the input labels.
+    Each code (codes are non-negative) is corrupted with its own stream,
+    then painted in increasing code order, first wins. Jitter moves the
+    whole corrupted mask; voxels shifted past an edge are dropped, and
+    nothing wraps around. Deterministic for a given (volume, noise) pair;
+    with all probabilities and jitter at zero the input is returned
+    unchanged. Output labels are a subset of the input labels.
     """
     if noise.p_erosion == 0 and noise.p_labeldrop == 0 and noise.p_downup == 0 and noise.boundary_jitter_mm == 0:
         return gt
     data = gt.data
     out = np.zeros_like(data)
-    for code in sorted(int(c) for c in np.unique(data) if c != 0):
-        rng = np.random.default_rng(_patch_seed(noise.seed, (code,)))
-        mask = _corrupt_binary(data == code, noise, rng, gt.spacing)
-        out[mask & (out == 0)] = code
+    for code, box in enumerate(ndi.find_objects(data), start=1):
+        if box is not None:
+            rng = np.random.default_rng(_patch_seed(noise.seed, (code,)))
+            _paint(out, code, *_corrupt_label(data, code, box, noise, rng, gt.spacing))
     return gt.with_data(out)
 
 
@@ -478,18 +478,19 @@ class OracleInstancePredictor:
         dists = {vid: float(np.linalg.norm(self.centroids[vid] - center)) for vid in self.vertebra_ids}
         mid = min(self.vertebra_ids, key=lambda v: (dists[v], v))
 
-        window = window_view(self.gt.data, cutout.origin, patch.dims)
+        # take(mode="clip") sends larger ids to the last entry and negative
+        # ones to the first, both background
+        lut = np.zeros(mid + 3, dtype=np.uint16)
         for label, vid in ((LABEL_ABOVE, mid - 1), (LABEL_CENTER, mid), (LABEL_BELOW, mid + 1)):
             if vid in self.centroids:
-                out[window == vid] = label
+                lut[vid] = label
+        out = lut.take(window_view(self.gt.data, cutout.origin, patch.dims), mode="clip")
         if self.noise is not None:
-            seeded = replace(self.noise, seed=_patch_seed(self.noise.seed, (cutout.index,)))
-            rng = np.random.default_rng(seeded.seed)
+            rng = np.random.default_rng(_patch_seed(self.noise.seed, (cutout.index,)))
             corrupted = np.zeros_like(out)
-            for label in (LABEL_ABOVE, LABEL_CENTER, LABEL_BELOW):
-                mask = _corrupt_binary(out == label, seeded, rng, self.gt.spacing)
-                corrupted[mask & (corrupted == 0)] = label
+            for label, box in enumerate(ndi.find_objects(out, max_label=LABEL_BELOW), start=1):
+                piece = _corrupt_label(out, label, box, self.noise, rng, self.gt.spacing)
+                if piece is not None:
+                    _paint(corrupted, label, *piece)
             out = corrupted
         return out
-
-

@@ -215,20 +215,8 @@ def _structuring_element(connectivity: int) -> np.ndarray:
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentSet:
     """Label connected components of a binary mask (6- or 26-connectivity)."""
     mask = np.asarray(mask) != 0
-    raw, n = ndi.label(mask, structure=_structuring_element(connectivity))
-    if n == 0:
-        return ComponentSet(labels=raw.astype(np.int32), count=0)
-    # relabel so ids ascend with each component's minimum linear index
-    flat = raw.ravel()
-    first_seen = np.full(n + 1, flat.size, dtype=np.int64)
-    nz = np.flatnonzero(flat)
-    # reversed so earlier positions overwrite later ones
-    first_seen[flat[nz[::-1]]] = nz[::-1]
-    order = np.argsort(first_seen[1:], kind="stable")  # old id-1 sorted by first voxel
-    remap = np.zeros(n + 1, dtype=np.int32)
-    remap[order + 1] = np.arange(1, n + 1, dtype=np.int32)
-    labels = remap[raw]
-
+    # ndi.label numbers components in C order of their first voxel
+    labels, n = ndi.label(mask, structure=_structuring_element(connectivity))
     sizes, centroids = label_centroids(labels, n)
     centroids = [tuple(c) for c in centroids.tolist()]
     bboxes = ndi.find_objects(labels)
@@ -291,18 +279,6 @@ def _ball(radius: int) -> np.ndarray:
     r = int(radius)
     grid = np.mgrid[-r : r + 1, -r : r + 1, -r : r + 1]
     return (grid**2).sum(axis=0) <= r * r
-
-
-def bounding_box(mask: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice] | None:
-    """Tight slice box around the foreground, or None for an empty mask."""
-    mask = np.asarray(mask)
-    nz = np.nonzero(mask)
-    if nz[0].size == 0:
-        return None
-    return tuple(
-        slice(max(0, int(axis.min()) - margin), min(dim, int(axis.max()) + 1 + margin))
-        for axis, dim in zip(nz, mask.shape)
-    )
 
 
 def overlap(origin_a, shape_a, origin_b, shape_b):

@@ -19,7 +19,8 @@ from spineseg.assembly import (
 )
 from spineseg.labels import Structure
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, PhantomSpec, generate_phantom
-from spineseg.volume import Volume, bounding_box
+from spineseg.volume import Volume
+from conftest import bounding_box
 
 
 def make_volume(data, kind="semantic"):

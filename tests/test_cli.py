@@ -160,22 +160,38 @@ class TestFuse:
         assert (tmp_path / "fused" / "run.json").exists()
 
     def test_synthesized_endplates_counted(self, tmp_path):
-        # corpus slab over disc slab with a one-voxel gap sheet between them
+        # corpus slab over disc slab with a one-voxel gap sheet between them;
+        # cord laid on the sheet keeps endplate out of those voxels, which
+        # are order-sensitive: synthesis before the cord would have taken them
         base = np.zeros((8, 9, 8), dtype=np.uint16)
         base[1:7, 1:4, 1:7] = Structure.CORPUS
         base[1:7, 5:8, 1:7] = Structure.IVD
         empty = np.zeros_like(base)
         vol = Volume(base, (1.0, 1.0, 1.0), ("P", "I", "R"), "semantic")
-        for name, arr in (("base", base), ("sub", empty), ("cord", empty)):
-            write_nifti(vol.with_data(arr, kind="semantic"), tmp_path / f"{name}.nii.gz")
-        out = tmp_path / "mask.nii.gz"
-        assert run_cli("fuse", "--base", tmp_path / "base.nii.gz",
-                       "--substructures", tmp_path / "sub.nii.gz",
-                       "--cord", tmp_path / "cord.nii.gz", "--out", out) == 0
-        fused = read_nifti(out).data
-        assert (fused[1:7, 4, 1:7] == Structure.ENDPLATE).all()
-        summary = json.loads((tmp_path / "fuse_summary.json").read_text())
-        assert summary["endplate_voxels_synthesized"] == 36
+        for cord_voxels in (0, 4):
+            cord = np.zeros_like(base)
+            cord[3:5, 4, 3 : 3 + cord_voxels // 2] = 1
+            case = tmp_path / f"cord{cord_voxels}"
+            case.mkdir()
+            for name, arr in (("base", base), ("sub", empty), ("cord", cord)):
+                write_nifti(vol.with_data(arr, kind="semantic"), case / f"{name}.nii.gz")
+            out = case / "mask.nii.gz"
+            assert run_cli("fuse", "--base", case / "base.nii.gz",
+                           "--substructures", case / "sub.nii.gz",
+                           "--cord", case / "cord.nii.gz", "--out", out) == 0
+            sheet = read_nifti(out).data[1:7, 4, 1:7]
+            assert (sheet[cord[1:7, 4, 1:7] > 0] == Structure.SPINAL_CORD).all()
+            assert (sheet[cord[1:7, 4, 1:7] == 0] == Structure.ENDPLATE).all()
+            labels = {"corpus": 108, "ivd": 108, "endplate": 36 - cord_voxels}
+            if cord_voxels:
+                labels["spinal_cord"] = cord_voxels
+            assert json.loads((case / "fuse_summary.json").read_text()) == {
+                "label_voxels": labels,
+                "canal_overwritten_by_cord": 0,
+                "substructure_voxels_suppressed": 0,
+                "endplate_voxels_synthesized": 36 - cord_voxels,
+                "order_sensitive_voxels": cord_voxels,
+            }
 
     def test_missing_source_is_usage_error(self, tmp_path, source_paths):
         assert run_cli("fuse", "--base", tmp_path / "absent.nii.gz",

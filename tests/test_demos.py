@@ -1,9 +1,9 @@
 """The fast demos run to completion from a checkout.
 
 Each demo runs as its own process with ``src`` on the import path, the way
-a reader runs it. The three long demos (two_phase_pipeline,
-robustness_sweep, external_predictor; about a minute or more each) are
-left out.
+a reader runs it. The robustness sweep runs with one run per noise
+level; the two long demos (two_phase_pipeline, external_predictor; about
+a minute or more each) are left out.
 """
 
 import os
@@ -16,11 +16,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_demo(name: str) -> str:
+def run_demo(name: str, *args: str) -> str:
     src = str(ROOT / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        [sys.executable, str(ROOT / "demos" / f"{name}.py"), *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -40,3 +40,9 @@ def test_metrics_tour_prints_the_hand_checked_values():
 @pytest.mark.parametrize("name", ["annotation_fusion", "phantom_gallery"])
 def test_demo_exits_zero(name):
     run_demo(name)
+
+
+def test_robustness_sweep_keeps_every_vertebra_without_noise():
+    out = run_demo("robustness_sweep", "--runs", "1")
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[2:]}
+    assert rows["0.00"] == ["1/1", "0.00"]

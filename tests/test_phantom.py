@@ -1,19 +1,23 @@
 """Synthetic spine generation and the corruption model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spineseg.labels import Structure, instance_relevant_codes
 from spineseg.phantom import (
     NoiseSpec,
+    _patch_seed,
     OracleInstancePredictor,
     OracleSemanticPredictor,
     PhantomSpec,
     corrupt_semantic,
     generate_phantom,
 )
-from spineseg.volume import Volume, bounding_box, connected_components, fill_holes
-from spineseg.assembly import find_corpus_centers, make_cutouts, cutout_window
+from spineseg.volume import Volume, binary_erosion, connected_components, fill_holes
+from spineseg.assembly import Cutout, find_corpus_centers, make_cutouts, cutout_window
+from conftest import bounding_box
 
 
 def hole_free(mask):
@@ -241,3 +245,153 @@ class TestOraclePredictors:
         b = OracleInstancePredictor(inst, sem, noise).predict(window, cut)
         assert np.array_equal(a, b)
         assert set(np.unique(a)) <= {0, 1, 2, 3}
+
+
+# --- the noise model written with full-volume masks, as the reference ---
+
+
+def reference_corrupt_binary(mask, noise, rng, spacing):
+    """One label's corruption on a full-size mask: crop to the bounding box
+    widened to an even start and two voxels of slack, erode, drop
+    components, down/up-sample, then shift with np.roll and clear the
+    wrapped slabs. Every probability and jitter draw is made even for an
+    empty mask."""
+    box = bounding_box(mask)
+    if box is not None:
+        box = tuple(slice((s.start // 2) * 2, min(s.stop + 2, dim)) for s, dim in zip(box, mask.shape))
+        sub = mask[box].copy()
+    else:
+        sub = None
+    if rng.random() < noise.p_erosion and noise.erosion_radius > 0 and sub is not None:
+        sub = binary_erosion(sub, noise.erosion_radius)
+    if noise.p_labeldrop > 0 and sub is not None:
+        comps = connected_components(sub, connectivity=26)
+        for cid in range(1, comps.count + 1):
+            if rng.random() < noise.p_labeldrop:
+                sub[comps.labels == cid] = False
+    if rng.random() < noise.p_downup and sub is not None:
+        down = sub[::2, ::2, ::2]
+        up = np.repeat(np.repeat(np.repeat(down, 2, axis=0), 2, axis=1), 2, axis=2)
+        sub = up[tuple(slice(0, s) for s in sub.shape)]
+    if sub is None:
+        out = mask.copy()
+    else:
+        out = np.zeros_like(mask)
+        out[box] = sub
+    if noise.boundary_jitter_mm > 0:
+        shift = [int(round(rng.uniform(-noise.boundary_jitter_mm, noise.boundary_jitter_mm) / s)) for s in spacing]
+        if any(shift):
+            out = np.roll(out, shift, axis=(0, 1, 2))
+            for axis, dv in enumerate(shift):
+                idx = [slice(None)] * 3
+                if dv > 0:
+                    idx[axis] = slice(0, dv)
+                elif dv < 0:
+                    idx[axis] = slice(dv, None)
+                else:
+                    continue
+                out[tuple(idx)] = False
+    return out
+
+
+def reference_corrupt_semantic(gt, noise):
+    if noise.p_erosion == 0 and noise.p_labeldrop == 0 and noise.p_downup == 0 and noise.boundary_jitter_mm == 0:
+        return gt
+    data = gt.data
+    out = np.zeros_like(data)
+    for code in sorted(int(c) for c in np.unique(data) if c != 0):
+        rng = np.random.default_rng(_patch_seed(noise.seed, (code,)))
+        mask = reference_corrupt_binary(data == code, noise, rng, gt.spacing)
+        out[mask & (out == 0)] = code
+    return gt.with_data(out)
+
+
+def reference_instance_predict(oracle, patch, cutout):
+    """``OracleInstancePredictor.predict`` with one full-window scan per
+    label and one shared generator across the three labels."""
+    out = np.zeros(patch.dims, dtype=np.uint16)
+    if not oracle.vertebra_ids:
+        return out
+    center = np.asarray(cutout.center, dtype=np.float64)
+    mid = min(oracle.vertebra_ids, key=lambda v: (float(np.linalg.norm(oracle.centroids[v] - center)), v))
+    window = cutout_window(oracle.gt, cutout).data
+    for label, vid in ((1, mid - 1), (2, mid), (3, mid + 1)):
+        if vid in oracle.centroids:
+            out[window == vid] = label
+    if oracle.noise is not None:
+        seeded = replace(oracle.noise, seed=_patch_seed(oracle.noise.seed, (cutout.index,)))
+        rng = np.random.default_rng(seeded.seed)
+        corrupted = np.zeros_like(out)
+        for label in (1, 2, 3):
+            mask = reference_corrupt_binary(out == label, seeded, rng, oracle.gt.spacing)
+            corrupted[mask & (corrupted == 0)] = label
+        out = corrupted
+    return out
+
+
+def random_noise(rng, seed):
+    """Each probability at 0, 0.5 or 1, erosion radius 0-2, jitter on or off."""
+    p_erosion, p_labeldrop, p_downup = rng.choice([0.0, 0.5, 1.0], size=3)
+    return NoiseSpec(
+        p_erosion=float(p_erosion),
+        erosion_radius=int(rng.integers(0, 3)),
+        p_labeldrop=float(p_labeldrop),
+        p_downup=float(p_downup),
+        boundary_jitter_mm=float(rng.choice([0.0, 1.5, 3.0])),
+        seed=seed,
+    )
+
+
+class TestNoiseModelReference:
+    def test_corrupt_semantic_matches_reference(self):
+        rng = np.random.default_rng(61)
+        for case in range(240):
+            shape = tuple(int(d) for d in rng.integers(1, 15, size=3))
+            dtype = rng.choice([np.uint8, np.uint16, np.int32])
+            data = np.zeros(shape, dtype=dtype)
+            if case % 8:  # every eighth volume stays empty
+                # non-negative codes with gaps, painted as overlapping boxes and speckle
+                for code in rng.choice(np.arange(1, 40), size=int(rng.integers(1, 5)), replace=False):
+                    for _ in range(int(rng.integers(1, 4))):
+                        lo = rng.integers(0, shape)
+                        hi = lo + rng.integers(1, 8, size=3)
+                        data[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = code
+                    data[rng.random(shape) < 0.05] = code
+            spacing = tuple(float(s) for s in rng.choice([0.5, 1.0, 2.0], size=3))
+            gt = Volume(data, spacing, ("P", "I", "R"), "semantic")
+            noise = random_noise(rng, seed=case)
+            got = corrupt_semantic(gt, noise).data
+            want = reference_corrupt_semantic(gt, noise).data
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), f"case {case}: {noise}"
+
+    def test_instance_oracle_matches_reference(self):
+        rng = np.random.default_rng(67)
+        # four vertebrae stacked along axis 1 with their discs between
+        inst = np.zeros((10, 40, 9), dtype=np.uint16)
+        for k in range(1, 5):
+            rows = slice(10 * (k - 1), 10 * (k - 1) + 7)
+            inst[:, rows][rng.random(inst[:, rows].shape) < 0.7] = k
+            inst[2:8, 10 * (k - 1) + 7 : 10 * k - 1, 2:7] = 100 + k
+        gapped = np.where(inst == 2, 0, inst)  # vertebra 2 missing: 1 has none below, 3 none above
+        for gt in (inst, gapped):
+            vol = Volume(gt, (1.0, 2.0, 1.5), ("P", "I", "R"), "instance")
+            for case in range(40):
+                center = (4.5, float(rng.integers(0, 40)), 4.0)
+                size = tuple(int(d) for d in rng.integers(4, 24, size=3))
+                origin = tuple(int(o) for o in rng.integers(-4, 8, size=3))
+                origin = (origin[0], int(center[1]) - size[1] // 2, origin[2])
+                cut = Cutout(center=center, origin=origin, size=size, index=case + 1)
+                oracle = OracleInstancePredictor(vol, noise=random_noise(rng, seed=case))
+                patch = cutout_window(vol, cut)
+                assert np.array_equal(oracle.predict(patch, cut), reference_instance_predict(oracle, patch, cut))
+
+    def test_instance_oracle_matches_reference_at_the_column_ends(self, standard_phantom):
+        # the top cutout has no vertebra above it, the bottom one none below
+        _, sem, inst = standard_phantom
+        cutouts = make_cutouts(find_corpus_centers(sem), sem.dims)
+        for seed, cut in enumerate((cutouts[0], cutouts[-1])):
+            noise = NoiseSpec(p_erosion=0.5, p_labeldrop=0.5, p_downup=0.5, boundary_jitter_mm=2.0, seed=seed)
+            oracle = OracleInstancePredictor(inst, sem, noise)
+            patch = cutout_window(inst, cut)
+            assert np.array_equal(oracle.predict(patch, cut), reference_instance_predict(oracle, patch, cut))

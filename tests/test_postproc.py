@@ -15,8 +15,9 @@ from spineseg.phantom import (
 )
 from spineseg.pipeline import predict_semantic
 from spineseg.postproc import enforce_consistency, foreground_equal
-from spineseg.volume import Volume, bounding_box, connected_components, fill_holes
+from spineseg.volume import Volume, connected_components, fill_holes
 from test_acceptance import random_inconsistent_pair
+from conftest import bounding_box
 
 
 def make_volume(data, kind="semantic"):

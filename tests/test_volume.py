@@ -7,7 +7,6 @@ from spineseg.nifti import read_nifti, write_nifti
 from spineseg.volume import (
     CANONICAL_ORIENTATION,
     Volume,
-    bounding_box,
     connected_components,
     fill_holes,
     overlap,
@@ -245,8 +244,11 @@ class TestConnectedComponents:
     def test_against_floodfill_oracle(self):
         rng = np.random.default_rng(29)
         for conn in (6, 26):
-            for _ in range(10):
-                mask = rng.random(size=(6, 7, 5)) < 0.3
+            masks = [rng.random(size=(6, 7, 5)) < 0.3 for _ in range(10)]
+            # larger masks over a range of densities pin the id order, which
+            # comes from ndi.label unchanged
+            masks += [rng.random(size=rng.integers(10, 21, size=3)) < p for p in (0.1, 0.25, 0.4, 0.55, 0.7)]
+            for mask in masks:
                 got = connected_components(mask, connectivity=conn)
                 want_labels, want_n = oracle_components(mask, conn)
                 assert got.count == want_n
@@ -434,10 +436,3 @@ class TestVolumeValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             Volume(np.zeros((2, 2, 2)), kind="labels")
-
-    def test_bounding_box(self):
-        mask = np.zeros((5, 6, 7), dtype=bool)
-        mask[1:3, 2:5, 0:2] = True
-        assert bounding_box(mask) == (slice(1, 3), slice(2, 5), slice(0, 2))
-        assert bounding_box(mask, margin=2) == (slice(0, 5), slice(0, 6), slice(0, 4))
-        assert bounding_box(np.zeros((2, 2, 2), dtype=bool)) is None
