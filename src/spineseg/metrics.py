@@ -61,17 +61,8 @@ def _spacing(a, b, spacing=None):
     return spacing
 
 
-def assd(a, b, spacing=None) -> float:
-    """Average symmetric surface distance in millimetres.
-
-    Surfaces are the 6-neighborhood boundaries of each mask; distances are
-    exact Euclidean, averaged over both surface-to-surface directions.
-    """
-    check_same_grid(a, b)
-    spacing = _spacing(a, b, spacing)
-    ma, mb = as_array(a) != 0, as_array(b) != 0
-    if not ma.any() or not mb.any():
-        raise ValueError("surface distance is undefined for an empty mask")
+def _surface_distance(ma: np.ndarray, mb: np.ndarray, spacing) -> float:
+    """ASSD of two non-empty boolean masks on the grid they are given on."""
     sa, sb = surface_mask(ma), surface_mask(mb)
     dist_to_b = ndi.distance_transform_edt(~sb, sampling=spacing)
     dist_to_a = ndi.distance_transform_edt(~sa, sampling=spacing)
@@ -80,14 +71,62 @@ def assd(a, b, spacing=None) -> float:
     return total / (na + nb)
 
 
-def _label_pairs(pa: np.ndarray, ra: np.ndarray) -> dict[tuple[int, int], int]:
+def _union_box(box_a, box_b, shape) -> tuple[slice, ...]:
+    """The union of two boxes grown by one voxel and clipped to the volume."""
+    return tuple(
+        slice(max(min(a.start, b.start) - 1, 0), min(max(a.stop, b.stop) + 1, n))
+        for a, b, n in zip(box_a, box_b, shape)
+    )
+
+
+def _label_assd(lp: np.ndarray, lr: np.ndarray, spacing):
+    """A function of ``(p, r)`` giving the ASSD of ``lp == p`` against
+    ``lr == r``, for labels present on both sides. Each pair's masks are cut
+    from the union box of its two labels; the boxes come from one
+    ``find_objects`` per side."""
+    boxes_p, boxes_r = ndi.find_objects(lp), ndi.find_objects(lr)
+
+    def pair(p: int, r: int) -> float:
+        box = _union_box(boxes_p[p - 1], boxes_r[r - 1], lp.shape)
+        return _surface_distance(lp[box] == p, lr[box] == r, spacing)
+
+    return pair
+
+
+def assd(a, b, spacing=None) -> float:
+    """Average symmetric surface distance in millimetres.
+
+    Surfaces are the 6-neighborhood boundaries of each mask; distances are
+    exact Euclidean, averaged over both surface-to-surface directions.
+    Both surfaces and distances are computed on the union box of the two
+    masks grown by one voxel and clipped to the volume. That is exact:
+    the box holds every surface voxel of both masks, and its margin is
+    background wherever the box edge is not the volume edge, so each
+    voxel is surface in the box exactly when it is in the whole volume.
+    """
+    check_same_grid(a, b)
+    spacing = _spacing(a, b, spacing)
+    ma, mb = as_array(a) != 0, as_array(b) != 0
+    if not ma.any() or not mb.any():
+        raise ValueError("surface distance is undefined for an empty mask")
+    # find_objects takes no bool array; the uint8 views cost no copy
+    return _label_assd(ma.view(np.uint8), mb.view(np.uint8), spacing)(1, 1)
+
+
+def _labels(x) -> np.ndarray:
+    """The label array of ``x`` as int64, checked to hold whole numbers in
+    0..LABEL_MAX (bool and whole-number float arrays pass)."""
+    arr = as_array(x)
+    labels = arr.astype(np.int64)  # int64 + uint64 would be float
+    if labels.size and (labels.min() < 0 or labels.max() > LABEL_MAX or not np.array_equal(labels, arr)):
+        raise ValueError(f"labels must be whole numbers in 0..{LABEL_MAX}; found {arr.min()}..{arr.max()}")
+    return labels
+
+
+def _label_pairs(lp: np.ndarray, lr: np.ndarray) -> dict[tuple[int, int], int]:
     """Voxel count of every (pred label, ref label) pair, background included."""
-    sides = [arr.astype(np.int64) for arr in (pa, ra)]  # int64 + uint64 would be float
-    for arr, labels in zip((pa, ra), sides):
-        if labels.size and (labels.min() < 0 or labels.max() > LABEL_MAX or not np.array_equal(labels, arr)):
-            raise ValueError(f"labels must be whole numbers in 0..{LABEL_MAX}; found {arr.min()}..{arr.max()}")
     base = LABEL_MAX + 1
-    uniq, counts = np.unique(sides[0] * base + sides[1], return_counts=True)
+    uniq, counts = np.unique(lp * base + lr, return_counts=True)
     return {divmod(int(k), base): int(n) for k, n in zip(uniq, counts)}
 
 
@@ -174,7 +213,7 @@ def match_instances(pred, ref, kind: str | None = None) -> InstanceMatching:
     matching to one id family (vertebra, ivd, endplate).
     """
     check_same_grid(pred, ref)
-    return _match(_of_kind(_label_pairs(as_array(pred), as_array(ref)), kind))
+    return _match(_of_kind(_label_pairs(_labels(pred), _labels(ref)), kind))
 
 
 @dataclass
@@ -276,15 +315,16 @@ def semantic_report(pred, ref, spacing=None) -> dict:
     """Per-structure DSC (always) and ASSD (when both sides non-empty)."""
     check_same_grid(pred, ref)
     spacing = _spacing(pred, ref, spacing)
-    pa, ra = as_array(pred), as_array(ref)
-    table = _label_pairs(pa, ra)
+    lp, lr = _labels(pred), _labels(ref)
+    table = _label_pairs(lp, lr)
+    label_assd = _label_assd(lp, lr, spacing)
     size_p, size_r = _sizes(table)
     names = {int(s): s.name.lower() for s in Structure}
     entries = {}
     for code in sorted((set(size_p) | set(size_r)) - {0}):
         entries[names.get(code, str(code))] = {
             "DSC": 2.0 * table.get((code, code), 0) / (size_p[code] + size_r[code]),
-            "ASSD": assd(pa == code, ra == code, spacing) if size_p[code] and size_r[code] else None,
+            "ASSD": label_assd(code, code) if size_p[code] and size_r[code] else None,
         }
     return entries
 
@@ -293,8 +333,9 @@ def instance_report(pred, ref, spacing=None) -> dict:
     """Panoptic scores plus global/instance-wise DSC and ASSD per id family."""
     check_same_grid(pred, ref)
     spacing = _spacing(pred, ref, spacing)
-    pa, ra = as_array(pred), as_array(ref)
-    table = _label_pairs(pa, ra)
+    lp, lr = _labels(pred), _labels(ref)
+    table = _label_pairs(lp, lr)
+    label_assd = _label_assd(lp, lr, spacing)
     out = {}
     for kind in INSTANCE_KINDS:
         kind_table = _of_kind(table, kind)
@@ -303,7 +344,7 @@ def instance_report(pred, ref, spacing=None) -> dict:
         inter = sum(n for (p, r), n in kind_table.items() if p and r)
         size = sum(n * ((p != 0) + (r != 0)) for (p, r), n in kind_table.items())
         pair_dsc = [dice_from_iou(value) for _, _, value in matching.pairs]
-        pair_assd = [assd(pa == p, ra == r, spacing) for p, r, _ in matching.pairs]
+        pair_assd = [label_assd(p, r) for p, r, _ in matching.pairs]
         out[kind] = {
             "DSC": 2.0 * inter / size if size else 1.0,
             "instance_DSC": float(np.mean(pair_dsc)) if pair_dsc else None,

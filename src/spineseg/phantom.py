@@ -21,7 +21,7 @@ import scipy.ndimage as ndi
 from .assembly import LABEL_ABOVE, LABEL_BELOW, LABEL_CENTER, vertebra_centroids
 from .labels import Structure, endplate_id, ivd_id, vertebra_id
 from .pipeline import DEFAULT_SPACING
-from .volume import Volume, binary_erosion, connected_components, overlap, window_view
+from .volume import Volume, binary_erosion, overlap, window_view
 
 DEFAULT_DIMS = (256, 384, 64)
 
@@ -387,9 +387,9 @@ def _corrupt_label(data: np.ndarray, value: int, box, noise: NoiseSpec, rng: np.
     if rng.random() < noise.p_erosion and noise.erosion_radius > 0 and crop is not None:
         crop = binary_erosion(crop, noise.erosion_radius)
     if noise.p_labeldrop > 0 and crop is not None:
-        comps = connected_components(crop, connectivity=26)
-        keep = np.concatenate(([False], rng.random(comps.count) >= noise.p_labeldrop))
-        crop = keep[comps.labels]
+        labels, count = ndi.label(crop, structure=ndi.generate_binary_structure(3, 3))
+        keep = np.concatenate(([False], rng.random(count) >= noise.p_labeldrop))
+        crop = keep[labels]
     if rng.random() < noise.p_downup and crop is not None:
         down = crop[::2, ::2, ::2]
         up = np.repeat(np.repeat(np.repeat(down, 2, axis=0), 2, axis=1), 2, axis=2)

@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy import ndimage as ndi
 
 from spineseg.metrics import (
     InstanceMatching,
@@ -388,8 +389,20 @@ class TestReports:
 
 
 # --- the per-label evaluation that the label-pair table replaced -------------
-# Kept verbatim in behaviour as the reference: one boolean mask per code or id
-# and np.isin unions per id family.
+# Kept verbatim in behaviour as the reference: one boolean mask per code or id,
+# np.isin unions per id family, and surface distances over the whole volume.
+
+
+def reference_assd(a, b, spacing):
+    """``assd`` without the crop: both surfaces and both distance transforms
+    over the whole grid."""
+    ma, mb = np.asarray(a) != 0, np.asarray(b) != 0
+    sa, sb = surface_mask(ma), surface_mask(mb)
+    dist_to_b = ndi.distance_transform_edt(~sb, sampling=spacing)
+    dist_to_a = ndi.distance_transform_edt(~sa, sampling=spacing)
+    na, nb = int(sa.sum()), int(sb.sum())
+    total = float(dist_to_b[sa].sum()) + float(dist_to_a[sb].sum())
+    return total / (na + nb)
 
 
 def _reference_ids_of_kind(arr, kind):
@@ -432,7 +445,7 @@ def reference_semantic_report(pa, ra, spacing):
     entries = {}
     for code in codes:
         mp, mr = pa == code, ra == code
-        entry = {"DSC": dice(mp, mr), "ASSD": assd(mp, mr, spacing) if mp.any() and mr.any() else None}
+        entry = {"DSC": dice(mp, mr), "ASSD": reference_assd(mp, mr, spacing) if mp.any() and mr.any() else None}
         try:
             entries[Structure(code).name.lower()] = entry
         except ValueError:
@@ -448,7 +461,7 @@ def reference_instance_report(pa, ra, spacing):
         union_p = np.isin(pa, _reference_ids_of_kind(pa, kind))
         union_r = np.isin(ra, _reference_ids_of_kind(ra, kind))
         pair_dsc = [dice_from_iou(v) for _, _, v in matching.pairs]
-        pair_assd = [assd(pa == p, ra == r, spacing) for p, r, _ in matching.pairs]
+        pair_assd = [reference_assd(pa == p, ra == r, spacing) for p, r, _ in matching.pairs]
         out[kind] = {
             "DSC": dice(union_p, union_r),
             "instance_DSC": float(np.mean(pair_dsc)) if pair_dsc else None,
@@ -560,3 +573,123 @@ class TestLabelPairTable:
         assert want == 2 * assd(pred, ref)
         assert semantic_report(pred, ref_vol)["corpus"]["ASSD"] == want
         assert instance_report(pred, ref_vol.with_data(ref, kind="instance"))["vertebra"]["ASSD"] == want
+
+
+def _random_box(rng, shape):
+    lo = [int(rng.integers(0, n)) for n in shape]
+    return [slice(start, int(rng.integers(start + 1, n + 1))) for start, n in zip(lo, shape)]
+
+
+def _speckle(rng, shape):
+    """Random voxels of a random box, its first corner always set."""
+    mask = np.zeros(shape, dtype=bool)
+    box = tuple(_random_box(rng, shape))
+    mask[box] = rng.random(mask[box].shape) < 0.6
+    mask[tuple(s.start for s in box)] = True
+    return mask
+
+
+def crop_case(rng, i):
+    """Two non-empty masks, a spacing and an integer dtype for case ``i``.
+
+    The case kind cycles through a box on face ``i // 5 % 6`` of the
+    volume, the whole volume, single voxels, blobs in opposite corners (the
+    union box is the whole grid) and speckle in random boxes; every fourth
+    grid is one voxel thin along some axis, and spacings are anisotropic.
+    """
+    shape = [int(v) for v in rng.integers(1, 13, size=3)]
+    if i % 4 == 0:
+        shape[i // 4 % 3] = 1
+    shape = tuple(shape)
+    a, b = _speckle(rng, shape), _speckle(rng, shape)
+    kind = i % 5
+    if kind == 0:
+        face = i // 5 % 6
+        box = _random_box(rng, shape)
+        axis = face // 2
+        box[axis] = slice(0, box[axis].stop) if face % 2 == 0 else slice(box[axis].start, shape[axis])
+        a = np.zeros(shape, dtype=bool)
+        a[tuple(box)] = True
+    elif kind == 1:
+        a = np.ones(shape, dtype=bool)
+        if i % 2:
+            b = a.copy()
+    elif kind == 2:
+        a, b = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+        a[tuple(int(rng.integers(0, n)) for n in shape)] = True
+        b[tuple(int(rng.integers(0, n)) for n in shape)] = True
+    elif kind == 3:
+        a, b = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+        corner = rng.integers(0, 2, size=3)
+        size = rng.integers(1, 4, size=3)
+        a[tuple(slice(0, k) if c else slice(n - k, n) for c, k, n in zip(corner, size, shape))] = True
+        b[tuple(slice(n - k, n) if c else slice(0, k) for c, k, n in zip(corner, size, shape))] = True
+    spacing = tuple(float(v) for v in rng.uniform(0.3, 3.0, size=3))
+    return a, b, spacing, (np.uint8, np.uint16, np.int64)[i % 3]
+
+
+def _thinned(rng, mask):
+    """``mask`` with about 15% of its voxels dropped, never emptied."""
+    out = mask & (rng.random(mask.shape) >= 0.15)
+    out[tuple(np.argwhere(mask)[0])] = True
+    return out
+
+
+class TestCroppedSurfaceDistance:
+    """Surface distances run on the union box of the two masks plus a
+    1-voxel margin, clipped to the volume; every value must equal the
+    full-volume computation bit for bit."""
+
+    def test_assd_equals_full_volume_reference(self):
+        rng = np.random.default_rng(83)
+        for i in range(200):
+            a, b, spacing, dtype = crop_case(rng, i)
+            for x, y in ((a, b), (b, a)):
+                assert assd(x.astype(dtype), y.astype(dtype), spacing) == reference_assd(x, y, spacing), f"case {i}"
+
+    def test_reports_equal_full_volume_reference(self):
+        rng = np.random.default_rng(89)
+        matched = 0
+        for i in range(200):
+            a, b, spacing, dtype = crop_case(rng, i)
+
+            def paint(*masks):
+                out = np.zeros(a.shape, dtype=np.int64)
+                for mask, value in masks:
+                    out[mask & (out == 0)] = value
+                return out.astype(dtype)
+
+            ps, rs = paint((a, 1), (b, 12)), paint((b, 1), (a, 12))
+            pi, ri = paint((a, 1), (b, 101)), paint((_thinned(rng, a), 1), (_thinned(rng, b), 101))
+            want = {
+                "semantic": reference_semantic_report(ps, rs, spacing),
+                "instances": reference_instance_report(pi, ri, spacing),
+            }
+            got = evaluate_segmentation(ps, rs, pi, ri, spacing=spacing)
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), f"case {i}"
+            matched += sum(entry["TP"] for entry in got["instances"].values())
+        assert matched > 200  # the instance pairs' distances are exercised too
+
+
+class TestNonIntegerLabelDtypes:
+    """Bool and whole-number float label arrays score exactly like their
+    uint16 copies; surface-distance boxes come from the checked int64
+    labels, never from the caller's array."""
+
+    @pytest.mark.parametrize("dtype", [bool, np.float32, np.float64])
+    def test_reports_equal_their_uint16_copies(self, dtype):
+        for i, masks, spacing in random_evaluation_cases(40, seed=43):
+            masks = [m.astype(dtype) for m in masks]
+            copies = [m.astype(np.uint16) for m in masks]
+            for report, n in ((semantic_report, 2), (instance_report, 2), (evaluate_segmentation, 4)):
+                got = report(*masks[:n], spacing=spacing)
+                want = report(*copies[:n], spacing=spacing)
+                assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), f"case {i}"
+
+    @pytest.mark.parametrize("dtype", [bool, np.float32, np.float64])
+    def test_assd_equals_its_uint16_copy(self, dtype):
+        rng = np.random.default_rng(47)
+        for i in range(40):
+            a, b, spacing, _ = crop_case(rng, i)
+            want = assd(a.astype(np.uint16), b.astype(np.uint16), spacing)
+            assert assd(a.astype(dtype), b.astype(dtype), spacing) == want, f"case {i}"
