@@ -11,7 +11,7 @@ with ids keyed to the nearest vertebra above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -261,21 +261,16 @@ def vertebra_centroids(semantic: np.ndarray, instance: np.ndarray) -> dict[int, 
     }
 
 
-def vertebra_heights(semantic: np.ndarray, instance: np.ndarray) -> dict[int, float]:
-    """Superior-inferior coordinate (axis 1) of each ``vertebra_centroids`` entry."""
-    return {v: float(c[1]) for v, c in vertebra_centroids(semantic, instance).items()}
-
-
-def vertebra_above(heights: dict[int, float], y: float) -> tuple[int, bool]:
-    """The vertebra whose centroid sits superior to height ``y`` at minimal
-    vertical distance, ties to the smaller id; ``(vertebra, flagged)``.
+def vertebra_above(centroids: dict[int, np.ndarray], y: float) -> tuple[int, bool]:
+    """The vertebra whose ``vertebra_centroids`` entry sits superior to
+    height ``y`` (axis 1) at minimal distance, ties to the smaller id; ``(vertebra, flagged)``.
 
     With no vertebra above, the topmost vertebra is returned and flagged.
     """
-    above = [v for v in heights if heights[v] < y]
+    above = [v for v, c in centroids.items() if c[1] < y]
     if above:
-        return min(above, key=lambda v: (y - heights[v], v)), False
-    return min(heights, key=lambda v: (heights[v], v)), True
+        return min(above, key=lambda v: (y - centroids[v][1], v)), False
+    return min(centroids, key=lambda v: (centroids[v][1], v)), True
 
 
 def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndarray):
@@ -288,9 +283,9 @@ def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndar
     vertebra and flagged.
     """
     inst = vertebra_instances.copy()
-    heights = vertebra_heights(semantic.data, inst)
+    centroids = vertebra_centroids(semantic.data, inst)
     flags = []
-    if not heights:
+    if not centroids:
         return inst, [
             {"kind": "unassigned", "reason": "no vertebra instances", "code": int(code)}
             for code in (Structure.IVD, Structure.ENDPLATE)
@@ -301,7 +296,7 @@ def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndar
         comps = connected_components(semantic.data == code, connectivity=26)
         lut = np.zeros(comps.count + 1, dtype=inst.dtype)
         for ci, centroid in enumerate(comps.centroids, start=1):
-            k, flagged = vertebra_above(heights, centroid[1])
+            k, flagged = vertebra_above(centroids, centroid[1])
             if flagged:
                 flags.append({"kind": "no_vertebra_above", "code": int(code), "assigned_to": k})
             lut[ci] = structure_instance_id(code, k)
@@ -321,15 +316,7 @@ class AssemblyReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "cutouts": self.cutouts,
-            "groups": self.groups,
-            "missing_targets": self.missing_targets,
-            "conflict_voxels": self.conflict_voxels,
-            "union_fallbacks": self.union_fallbacks,
-            "assignment_flags": self.assignment_flags,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
 
 def assemble(

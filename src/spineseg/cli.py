@@ -315,6 +315,8 @@ def cmd_report(args) -> int:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise UsageError(f"not a JSON file: {e}")
+    if not isinstance(payload, dict):
+        raise UsageError("unrecognized report format")
 
     lines = []
     command = payload.get("command")

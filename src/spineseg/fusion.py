@@ -21,7 +21,11 @@ from .volume import Volume, binary_closing, fill_holes
 
 @dataclass(frozen=True)
 class AnnotationSources:
-    """Aligned annotation volumes from the three upstream tools."""
+    """Aligned annotation volumes from the three upstream tools.
+
+    Base and substructure voxels must hold structure codes 0..14; any
+    nonzero cord voxel is cord.
+    """
 
     base: Volume
     substructures: Volume
@@ -30,6 +34,10 @@ class AnnotationSources:
     def __post_init__(self):
         if not (self.base.same_grid(self.substructures) and self.base.same_grid(self.cord)):
             raise ValueError("annotation sources live on different grids")
+        for name, vol in (("base", self.base), ("substructure", self.substructures)):
+            outside = vol.data[~np.isin(vol.data, np.arange(len(Structure)))]
+            if outside.size:
+                raise ValueError(f"{name} annotation holds label {outside.min()}, not a structure code")
 
 
 def merge_sources(src: AnnotationSources) -> Volume:

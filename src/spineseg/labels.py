@@ -49,17 +49,10 @@ _KIND_BY_CODE = {
 }
 
 
-def vertebra_substructure_codes() -> frozenset[int]:
-    """Codes 1-10: the ten per-vertebra substructures, endplate included.
-
-    Used to binarize "vertebra" as a whole for global overlap metrics.
-    """
-    return frozenset(range(Structure.CORPUS, Structure.ENDPLATE + 1))
-
-
 def instance_relevant_codes() -> frozenset[int]:
-    """Semantic codes whose voxels must carry an instance id (1-11)."""
-    return vertebra_substructure_codes() | {int(Structure.IVD)}
+    """Semantic codes whose voxels must carry an instance id (1-11): the
+    ten vertebra substructures, endplate included, and the disc."""
+    return frozenset(range(Structure.CORPUS, Structure.IVD + 1))
 
 
 def vertebra_id(order_index: int) -> int:

@@ -83,11 +83,13 @@ def _label_assd(lp: np.ndarray, lr: np.ndarray, spacing):
     """A function of ``(p, r)`` giving the ASSD of ``lp == p`` against
     ``lr == r``, for labels present on both sides. Each pair's masks are cut
     from the union box of its two labels; the boxes come from one
-    ``find_objects`` per side."""
-    boxes_p, boxes_r = ndi.find_objects(lp), ndi.find_objects(lr)
+    ``find_objects`` per side, run at the first call."""
+    boxes = []
 
     def pair(p: int, r: int) -> float:
-        box = _union_box(boxes_p[p - 1], boxes_r[r - 1], lp.shape)
+        if not boxes:
+            boxes.extend((ndi.find_objects(lp), ndi.find_objects(lr)))
+        box = _union_box(boxes[0][p - 1], boxes[1][r - 1], lp.shape)
         return _surface_distance(lp[box] == p, lr[box] == r, spacing)
 
     return pair
@@ -128,6 +130,14 @@ def _label_pairs(lp: np.ndarray, lr: np.ndarray) -> dict[tuple[int, int], int]:
     base = LABEL_MAX + 1
     uniq, counts = np.unique(lp * base + lr, return_counts=True)
     return {divmod(int(k), base): int(n) for k, n in zip(uniq, counts)}
+
+
+def _compare(pred, ref, spacing=None):
+    """``(table, label_assd)`` of two label masks on one grid: their
+    ``_label_pairs`` table and their ``_label_assd``."""
+    check_same_grid(pred, ref)
+    lp, lr = _labels(pred), _labels(ref)
+    return _label_pairs(lp, lr), _label_assd(lp, lr, _spacing(pred, ref, spacing))
 
 
 def _sizes(table: dict) -> tuple[Counter, Counter]:
@@ -212,8 +222,7 @@ def match_instances(pred, ref, kind: str | None = None) -> InstanceMatching:
     order only arbitrates exact-threshold ties. ``kind`` restricts the
     matching to one id family (vertebra, ivd, endplate).
     """
-    check_same_grid(pred, ref)
-    return _match(_of_kind(_label_pairs(_labels(pred), _labels(ref)), kind))
+    return _match(_of_kind(_compare(pred, ref)[0], kind))
 
 
 @dataclass
@@ -313,11 +322,7 @@ def wilcoxon_signed_rank(x, y, exact_limit: int = 25) -> WilcoxonResult:
 
 def semantic_report(pred, ref, spacing=None) -> dict:
     """Per-structure DSC (always) and ASSD (when both sides non-empty)."""
-    check_same_grid(pred, ref)
-    spacing = _spacing(pred, ref, spacing)
-    lp, lr = _labels(pred), _labels(ref)
-    table = _label_pairs(lp, lr)
-    label_assd = _label_assd(lp, lr, spacing)
+    table, label_assd = _compare(pred, ref, spacing)
     size_p, size_r = _sizes(table)
     names = {int(s): s.name.lower() for s in Structure}
     entries = {}
@@ -331,11 +336,7 @@ def semantic_report(pred, ref, spacing=None) -> dict:
 
 def instance_report(pred, ref, spacing=None) -> dict:
     """Panoptic scores plus global/instance-wise DSC and ASSD per id family."""
-    check_same_grid(pred, ref)
-    spacing = _spacing(pred, ref, spacing)
-    lp, lr = _labels(pred), _labels(ref)
-    table = _label_pairs(lp, lr)
-    label_assd = _label_assd(lp, lr, spacing)
+    table, label_assd = _compare(pred, ref, spacing)
     out = {}
     for kind in INSTANCE_KINDS:
         kind_table = _of_kind(table, kind)

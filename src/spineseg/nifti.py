@@ -37,6 +37,7 @@ _DTYPES = {
 }
 _LABEL_CODE = 512  # uint16
 _INTENSITY_CODE = 16  # float32
+_GZIP_LEVEL = 1  # about 6x faster than level 9; a label mask still shrinks to about 2% of raw
 
 
 class NiftiError(ValueError):
@@ -173,7 +174,9 @@ def _build_affine(vol: Volume) -> np.ndarray:
 
 
 def write_nifti(vol: Volume, path) -> None:
-    """Write a volume as single-file NIfTI-1; gzip when the name ends .gz.
+    """Write a volume as single-file NIfTI-1; gzip when the name ends .gz,
+    at compression level 1 with a zero timestamp, so equal volumes give
+    equal files.
 
     Label volumes are stored as unsigned 16-bit integers, intensity
     volumes as float32. The orientation/spacing go into the sform.
@@ -209,7 +212,7 @@ def write_nifti(vol: Volume, path) -> None:
     blob = bytes(header) + b"\x00\x00\x00\x00" + payload.tobytes(order="F")
     if path.name.endswith(".gz"):
         with open(path, "wb") as raw:
-            with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as gz:
+            with gzip.GzipFile(fileobj=raw, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0) as gz:
                 gz.write(blob)
     else:
         path.write_bytes(blob)

@@ -169,21 +169,6 @@ class _Painter:
                 self.paint(code, instance_id, (lo_mm[0], y, lo_mm[1]), (hi_mm[0], y, hi_mm[1]), footprint)
 
 
-def _fusion_units(n: int, fuse_pairs) -> list[list[int]]:
-    """Group 1..n into units where fused neighbors share a unit."""
-    fused_after = {a for a, _ in fuse_pairs}
-    units: list[list[int]] = []
-    current = [1]
-    for k in range(2, n + 1):
-        if k - 1 in fused_after:
-            current.append(k)
-        else:
-            units.append(current)
-            current = [k]
-    units.append(current)
-    return units
-
-
 def generate_phantom(spec: PhantomSpec):
     """Build (intensity, semantic, instance) volumes for a phantom spec.
 
@@ -214,12 +199,11 @@ def generate_phantom(spec: PhantomSpec):
     if needed_x > extent[0]:
         raise ValueError(f"geometry needs {needed_x:.1f} mm anterior-posterior, volume has {extent[0]:.1f}")
 
-    units = _fusion_units(spec.n_vertebrae, spec.fuse_pairs)
-    unit_of = {}
-    for u, levels in enumerate(units, start=1):
-        for k in levels:
-            unit_of[k] = u
+    # fused neighbours share a unit, and a vertebra's instance id is its unit
     fused_after = {a for a, _ in spec.fuse_pairs}
+    unit_of = {1: 1}
+    for k in range(2, spec.n_vertebrae + 1):
+        unit_of[k] = unit_of[k - 1] + (k - 1 not in fused_after)
 
     p = _Painter(dims, spacing)
     corpus_h = 2.0 * ry

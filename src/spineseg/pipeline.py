@@ -14,7 +14,7 @@ import subprocess
 import tempfile
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,14 +49,7 @@ def _axis_positions(dim: int, patch: int, overlap: float) -> list[int]:
     if dim <= patch:
         return [0]
     stride = max(1, int(round(patch * (1.0 - overlap))))
-    last = dim - patch
-    positions = []
-    p = 0
-    while True:
-        positions.append(min(p, last))
-        if positions[-1] == last:
-            return positions
-        p += stride
+    return [*range(0, dim - patch, stride), dim - patch]
 
 
 def tile_volume(dims, spec: TilingSpec):
@@ -205,13 +198,12 @@ class PipelineConfig:
     cutout_size: tuple[int, int, int] = CUTOUT_SIZE
 
     def to_dict(self) -> dict:
+        """Flat form for JSON, the tiling fields after ``target_spacing``."""
         return {
-            "target_spacing": list(self.target_spacing) if self.target_spacing else None,
-            "patch_size": list(self.tiling.patch_size),
-            "overlap": self.tiling.overlap,
-            "blend": self.tiling.blend,
+            "target_spacing": self.target_spacing,
+            **asdict(self.tiling),
             "min_volume_fraction": self.min_volume_fraction,
-            "cutout_size": list(self.cutout_size),
+            "cutout_size": self.cutout_size,
         }
 
 
@@ -228,17 +220,10 @@ class RunReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "input_dims": list(self.input_dims),
-            "input_spacing": list(self.input_spacing),
-            "processing_dims": list(self.processing_dims),
-            "processing_spacing": list(self.processing_spacing),
-            "n_patches": self.n_patches,
-            "assembly": self.assembly,
-            "consistency": self.consistency,
-            "timings_s": self.timings_s,
-            "warnings": self.warnings,
-        }
+        out = asdict(self)
+        for key in ("input_dims", "input_spacing", "processing_dims", "processing_spacing"):
+            out[key] = list(out[key])
+        return out
 
 
 def run_pipeline(vol: Volume, semantic_predictor, instance_predictor, config: PipelineConfig | None = None):

@@ -10,12 +10,12 @@ the same voxel set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.ndimage as ndi
 
-from .assembly import vertebra_above, vertebra_heights
+from .assembly import vertebra_above, vertebra_centroids
 from .labels import instance_relevant_codes, is_vertebra_id, structure_instance_id
 from .volume import Volume, as_array, check_same_grid, connected_components, fill_holes
 
@@ -31,12 +31,7 @@ class ConsistencyReport:
     demoted_semantic: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "holes_filled": self.holes_filled,
-            "zeroed": self.zeroed,
-            "orphans_assigned": [list(t) for t in self.orphans_assigned],
-            "demoted_semantic": self.demoted_semantic,
-        }
+        return {**asdict(self), "orphans_assigned": [list(t) for t in self.orphans_assigned]}
 
 
 def _relevant_mask(sem: np.ndarray) -> np.ndarray:
@@ -117,7 +112,7 @@ def enforce_consistency(semantic, instance):
 
     orphan = _relevant_mask(sem) & (inst == 0)
     if orphan.any():
-        heights = vertebra_heights(sem, inst)
+        centroids = vertebra_centroids(sem, inst)
         comps = connected_components(orphan, connectivity=26)
         for ci in range(1, comps.count + 1):
             box = comps.bboxes[ci - 1]
@@ -129,7 +124,7 @@ def enforce_consistency(semantic, instance):
             target = _neighbor_majority(inst, comp, box)
             if target == 0:
                 # no instance contact: key to the nearest vertebra above
-                k, _ = vertebra_above(heights, comps.centroids[ci - 1][1])
+                k, _ = vertebra_above(centroids, comps.centroids[ci - 1][1])
                 dominant = int(np.argmax(np.bincount(sem[box][comp])))
                 target = structure_instance_id(dominant, k)
             sub = inst[box]

@@ -8,7 +8,7 @@ of increasing index, so the canonical orientation is ("P", "I", "R").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -199,9 +199,9 @@ class ComponentSet:
 
     labels: np.ndarray
     count: int
-    sizes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    centroids: list[tuple[float, float, float]] = field(default_factory=list)
-    bboxes: list[tuple[slice, slice, slice]] = field(default_factory=list)
+    sizes: np.ndarray
+    centroids: list[tuple[float, float, float]]
+    bboxes: list[tuple[slice, slice, slice]]
 
 
 def _structuring_element(connectivity: int) -> np.ndarray:

@@ -206,6 +206,21 @@ class TestFuse:
                        "--substructures", tmp_path / "small.nii.gz",
                        "--cord", source_paths[2], "--out", tmp_path / "o.nii.gz") == 1
 
+    @pytest.mark.parametrize("index, name", [(0, "base"), (1, "substructure")])
+    def test_label_outside_the_taxonomy_leaves_no_output(self, tmp_path, source_paths, capsys, index, name):
+        paths = list(source_paths)
+        vol = read_nifti(paths[index])
+        data = vol.data.copy()
+        data[0, 0, 0] = 20
+        paths[index] = tmp_path / "bad.nii.gz"
+        write_nifti(vol.with_data(data), paths[index])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert run_cli("fuse", "--base", paths[0], "--substructures", paths[1],
+                       "--cord", paths[2], "--out", out_dir / "f.nii.gz") == 1
+        assert list(out_dir.iterdir()) == []
+        assert f"{name} annotation holds label 20" in capsys.readouterr().err
+
 
 class TestSegment:
     def test_oracle_run_reproduces_ground_truth(self, phantom_dir, tmp_path):
@@ -364,4 +379,9 @@ class TestReport:
     def test_unrecognized_payload_is_usage_error(self, tmp_path):
         weird = tmp_path / "weird.json"
         weird.write_text(json.dumps({"answer": 42}))
+        assert run_cli("report", weird) == 2
+
+    def test_json_that_is_not_an_object_is_usage_error(self, tmp_path):
+        weird = tmp_path / "list.json"
+        weird.write_text(json.dumps([1, 2]))
         assert run_cli("report", weird) == 2

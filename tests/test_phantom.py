@@ -124,6 +124,15 @@ class TestGeneratePhantom:
         ivd_ids = {int(v) for v in np.unique(inst.data) if 100 < v < 200}
         assert ivd_ids == {101, 102, 103, 104}
 
+    def test_two_fused_pairs_number_units_top_down(self):
+        _, sem, inst = generate_phantom(PhantomSpec(n_vertebrae=6, fuse_pairs=((1, 2), (4, 5)), seed=2))
+        # one spinous process per vertebra level, none touching the next
+        comps = connected_components(sem.data == Structure.SPINOUS_PROCESS, connectivity=26)
+        assert comps.count == 6
+        order = sorted(range(comps.count), key=lambda i: comps.centroids[i][1])
+        ids = [int(np.unique(inst.data[comps.labels == i + 1]).item()) for i in order]
+        assert ids == [1, 1, 2, 3, 3, 4]
+
     def test_intensity_tracks_structure(self, standard_phantom):
         img, sem, _ = standard_phantom
         fg = img.data[sem.data == Structure.CORPUS].mean()

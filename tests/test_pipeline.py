@@ -1,5 +1,6 @@
 """Tiling, blended tiled prediction, external predictors, full runs."""
 
+import json
 import textwrap
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from spineseg.pipeline import (
     PipelineConfig,
     PredictorError,
     TilingSpec,
+    _axis_positions,
     predict_semantic,
     run_pipeline,
     tile_volume,
@@ -29,7 +31,30 @@ def make_volume(data, kind="semantic", spacing=(1.0, 1.0, 1.0)):
     return Volume(np.asarray(data, dtype=dtype), spacing, ("P", "I", "R"), kind)
 
 
+def reference_axis_positions(dim, patch, overlap):
+    """The original stepping loop: advance by the stride, clamp the last
+    origin to ``dim - patch`` and stop there."""
+    if dim <= patch:
+        return [0]
+    stride = max(1, int(round(patch * (1.0 - overlap))))
+    last = dim - patch
+    positions = []
+    p = 0
+    while True:
+        positions.append(min(p, last))
+        if positions[-1] == last:
+            return positions
+        p += stride
+
+
 class TestTileVolume:
+    def test_axis_positions_match_the_stepping_loop(self):
+        for patch in (1, 2, 3, 7, 16, 31, 64, 128, 256):
+            for overlap in (0.0, 0.1, 0.25, 0.5, 0.66, 0.75, 0.99):
+                for dim in range(1, 260):
+                    want = reference_axis_positions(dim, patch, overlap)
+                    assert _axis_positions(dim, patch, overlap) == want, (dim, patch, overlap)
+
     def test_exact_fit_is_single_patch(self):
         spec = TilingSpec()
         assert tile_volume((256, 256, 64), spec) == [(0, 0, 0)]
@@ -390,6 +415,12 @@ class TestRunPipeline:
         d = report.to_dict()
         assert d["processing_dims"] == [256, 384, 64]
         assert d["assembly"]["groups"]
-        import json
-
         json.dumps(d)
+
+    def test_config_serializes_flat_in_fixed_order(self):
+        assert json.dumps(PipelineConfig().to_dict()) == (
+            '{"target_spacing": [0.75, 0.75, 1.65], "patch_size": [256, 256, 64], '
+            '"overlap": 0.5, "blend": "gaussian", "min_volume_fraction": 0.1, '
+            '"cutout_size": [248, 304, 64]}'
+        )
+        assert PipelineConfig(target_spacing=None).to_dict()["target_spacing"] is None
