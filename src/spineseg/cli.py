@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fusion import AnnotationSources, merge_sources, synthesize_endplates
+from .fusion import AnnotationSources, fuse_sources
 from .labels import Structure, write_labels_json
 from .metrics import evaluate_segmentation
 from .nifti import NiftiError, read_nifti, write_nifti
@@ -134,14 +134,7 @@ def cmd_fuse(args) -> int:
     except ValueError as e:
         raise RunError(str(e))
 
-    merged = merge_sources(sources)
-    fused = synthesize_endplates(merged)
-
-    # cord ran before endplate synthesis; count the voxels where the
-    # opposite order would have answered differently
-    no_cord = AnnotationSources(base, sub, cord.with_data(np.zeros_like(cord.data)))
-    alt = synthesize_endplates(merge_sources(no_cord))
-    order_sensitive = int(((alt.data == Structure.ENDPLATE) & (cord.data > 0)).sum())
+    merged, fused, order_sensitive = fuse_sources(sources)
 
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -307,17 +300,7 @@ def _write_csv(path: Path, result: dict) -> None:
             )
 
 
-def cmd_report(args) -> int:
-    path = Path(args.json)
-    if not path.exists():
-        raise UsageError(f"report file not found: {args.json}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise UsageError(f"not a JSON file: {e}")
-    if not isinstance(payload, dict):
-        raise UsageError("unrecognized report format")
-
+def _report_lines(payload: dict) -> list[str]:
     lines = []
     command = payload.get("command")
     if command:
@@ -366,6 +349,21 @@ def cmd_report(args) -> int:
         lines.append("fused label voxel counts:")
         for name, n in payload["label_voxels"].items():
             lines.append(f"  {name}: {n}")
+    return lines
+
+
+def cmd_report(args) -> int:
+    path = Path(args.json)
+    if not path.exists():
+        raise UsageError(f"report file not found: {args.json}")
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise UsageError(f"not a JSON file: {e}")
+    try:
+        lines = _report_lines(payload)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        lines = []  # not an object, or a section of the wrong shape
     if not lines:
         raise UsageError("unrecognized report format")
     print("\n".join(lines))

@@ -54,33 +54,58 @@ def merge_sources(src: AnnotationSources) -> Volume:
     return src.base.with_data(out, kind="semantic")
 
 
-def synthesize_endplates(mask: Volume) -> Volume:
-    """Label the corpus/disc transition layer as endplate.
+def _endplate_layer(data: np.ndarray) -> np.ndarray:
+    """The corpus/disc transition layer, whatever its voxels hold now.
 
     Candidate voxels are the holes of corpus+disc after a 3x3x3 closing
-    (the closing bounds how wide a gap still counts as "between"). A
-    candidate becomes endplate when it is currently background and sits
-    6-adjacent to at least one corpus voxel and one disc voxel. Already
-    labeled voxels never change, so the operation is idempotent.
+    (the closing bounds how wide a gap still counts as "between"); a
+    candidate is in the layer when it sits 6-adjacent to at least one
+    corpus voxel and one disc voxel. Only corpus and disc voxels decide it.
     """
-    data = mask.data
     corpus = data == Structure.CORPUS
     ivd = data == Structure.IVD
     ci = corpus | ivd
     if not corpus.any() or not ivd.any():
-        return mask
-
-    candidates = fill_holes(binary_closing(ci, 1)) & ~ci & (data == 0)
-    if not candidates.any():
-        return mask
-
+        return np.zeros(data.shape, dtype=bool)
     cross = ndi.generate_binary_structure(3, 1)
-    near_corpus = ndi.binary_dilation(corpus, structure=cross)
-    near_ivd = ndi.binary_dilation(ivd, structure=cross)
-    convert = candidates & near_corpus & near_ivd
+    layer = fill_holes(binary_closing(ci, 1)) & ~ci
+    layer &= ndi.binary_dilation(corpus, structure=cross)
+    layer &= ndi.binary_dilation(ivd, structure=cross)
+    return layer
+
+
+def _label_endplates(mask: Volume, layer: np.ndarray) -> Volume:
+    convert = layer & (mask.data == 0)
     if not convert.any():
         return mask
-
-    out = data.copy()
+    out = mask.data.copy()
     out[convert] = Structure.ENDPLATE
     return mask.with_data(out)
+
+
+def synthesize_endplates(mask: Volume) -> Volume:
+    """Label the corpus/disc transition layer as endplate.
+
+    A voxel of the layer becomes endplate when it is currently
+    background. Already labeled voxels never change, so the operation is
+    idempotent.
+    """
+    return _label_endplates(mask, _endplate_layer(mask.data))
+
+
+def fuse_sources(src: AnnotationSources) -> tuple[Volume, Volume, int]:
+    """Merge the sources, then synthesize endplates.
+
+    Returns the merged mask, the fused mask and the order-sensitive voxel
+    count: cord voxels that would hold endplate had the cord gone in after
+    synthesis. The layer depends on corpus and disc alone, which the cord
+    never touches, so that order would label endplate at the cord voxels
+    that are endplate already and at those of the layer that base and
+    substructures leave as background.
+    """
+    merged = merge_sources(src)
+    layer = _endplate_layer(merged.data)
+    background = (src.base.data == 0) & (src.substructures.data == 0)
+    endplate_without_cord = (merged.data == Structure.ENDPLATE) | (layer & background)
+    order_sensitive = int((endplate_without_cord & (src.cord.data > 0)).sum())
+    return merged, _label_endplates(merged, layer), order_sensitive

@@ -70,13 +70,13 @@ def _blend_window(shape, blend: str) -> np.ndarray:
     return w
 
 
-def _accumulate(scores, weights, sl, w, out):
+def _accumulate(scores, sl, w, out):
+    view = scores[(slice(None), *sl)]
     if out.ndim == 3:
-        for code in np.unique(out):
-            scores[int(code)][sl] += w * (out == code)
+        # only the labeled class gains; the others would add 0.0, a no-op
+        view[(out, *np.indices(out.shape, sparse=True))] += w
     else:
-        scores[:, sl[0], sl[1], sl[2]] += w * out
-    weights[sl] += w
+        view += w * out
 
 
 def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), return_scores: bool = False):
@@ -89,14 +89,15 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
     (integral floats are accepted) or finite per-class scores of shape
     ``(15,) + patch.dims``. Any other answer raises ``PredictorError``
     (see ``assembly.check_answer``). Argmax ties resolve to the smaller
-    class code.
+    class code. Tiling holds one class-first float32 score buffer, and the
+    argmax adds one running-maximum plane and the label plane.
     """
     predictors = list(predictor) if isinstance(predictor, (list, tuple)) else [predictor]
     if not predictors:
         raise ValueError("need at least one predictor")
     dims = vol.dims
     scores = np.zeros((N_CLASSES,) + dims, dtype=np.float32)
-    weights = np.zeros(dims, dtype=np.float32)
+    weights = np.zeros(dims, dtype=np.float32) if return_scores else None
     for origin in tile_volume(dims, spec):
         sl = tuple(slice(o, min(o + p, d)) for o, p, d in zip(origin, spec.patch_size, dims))
         data = np.ascontiguousarray(vol.data[sl])
@@ -104,8 +105,15 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
         w = _blend_window(patch.dims, spec.blend)
         for p in predictors:
             out = check_answer(p.predict(patch, origin), patch.dims, N_CLASSES, scores_ok=True)
-            _accumulate(scores, weights, sl, w, out)
-    labels = np.argmax(scores, axis=0).astype(np.uint16)
+            _accumulate(scores, sl, w, out)
+            if return_scores:
+                weights[sl] += w
+    # np.argmax(scores, axis=0) copies the buffer; strict > keeps ties on the smaller code
+    best = scores[0].copy()
+    labels = np.zeros(dims, dtype=np.uint16)
+    for code in range(1, N_CLASSES):
+        labels[scores[code] > best] = code
+        np.maximum(best, scores[code], out=best)
     semantic = Volume(labels, vol.spacing, vol.orientation, "semantic")
     if return_scores:
         return semantic, scores / (weights * len(predictors))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from spineseg.fusion import AnnotationSources, merge_sources, synthesize_endplates
+from spineseg.labels import Structure
 from spineseg.phantom import PhantomSpec, generate_phantom
 
 
@@ -28,3 +30,12 @@ def bounding_box(mask, margin=0):
         slice(max(0, int(axis.min()) - margin), min(dim, int(axis.max()) + 1 + margin))
         for axis, dim in zip(nz, mask.shape)
     )
+
+
+def two_pass_order_sensitive(base, sub, cord):
+    """Order-sensitive fusion voxels by a second merge and synthesis with
+    the cord zeroed: cord voxels that hold endplate when the cord goes in
+    after synthesis; a reference for ``fusion.fuse_sources``."""
+    no_cord = AnnotationSources(base, sub, cord.with_data(np.zeros_like(cord.data)))
+    alt = synthesize_endplates(merge_sources(no_cord))
+    return int(((alt.data == Structure.ENDPLATE) & (cord.data > 0)).sum())

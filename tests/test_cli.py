@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import two_pass_order_sensitive
 from spineseg.cli import main
 from spineseg.labels import Structure
 from spineseg.nifti import read_nifti, write_nifti
@@ -157,6 +158,8 @@ class TestFuse:
         assert summary["canal_overwritten_by_cord"] == int((gt == 13).sum())
         assert summary["substructure_voxels_suppressed"] == 0
         assert summary["label_voxels"]["corpus"] == int((gt == 1).sum())
+        sources = [read_nifti(p) for p in source_paths]
+        assert summary["order_sensitive_voxels"] == two_pass_order_sensitive(*sources)
         assert (tmp_path / "fused" / "run.json").exists()
 
     def test_synthesized_endplates_counted(self, tmp_path):
@@ -185,6 +188,8 @@ class TestFuse:
             labels = {"corpus": 108, "ivd": 108, "endplate": 36 - cord_voxels}
             if cord_voxels:
                 labels["spinal_cord"] = cord_voxels
+            sources = [read_nifti(case / f"{name}.nii.gz") for name in ("base", "sub", "cord")]
+            assert two_pass_order_sensitive(*sources) == cord_voxels
             assert json.loads((case / "fuse_summary.json").read_text()) == {
                 "label_voxels": labels,
                 "canal_overwritten_by_cord": 0,
@@ -385,3 +390,18 @@ class TestReport:
         weird = tmp_path / "list.json"
         weird.write_text(json.dumps([1, 2]))
         assert run_cli("report", weird) == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"report": [1, 2]},
+            {"semantic": {"corpus": 5}},
+            {"report": {"n_patches": 1}},
+            {"config": [1]},
+        ],
+    )
+    def test_malformed_section_is_usage_error(self, tmp_path, capsys, payload):
+        weird = tmp_path / "weird.json"
+        weird.write_text(json.dumps(payload))
+        assert run_cli("report", weird) == 2
+        assert "unrecognized report format" in capsys.readouterr().err

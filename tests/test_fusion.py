@@ -5,7 +5,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from spineseg.fusion import AnnotationSources, merge_sources, synthesize_endplates
+from conftest import two_pass_order_sensitive
+from spineseg.fusion import AnnotationSources, fuse_sources, merge_sources, synthesize_endplates
 from spineseg.labels import Structure
 from spineseg.volume import Volume
 
@@ -221,3 +222,58 @@ class TestSynthesizeEndplates:
             once = synthesize_endplates(make_volume(d))
             twice = synthesize_endplates(once)
             assert np.array_equal(once.data, twice.data)
+
+
+class TestFuseSources:
+    def check(self, base, sub, cord):
+        vols = [make_volume(a) for a in (base, sub, cord)]
+        merged, fused, order_sensitive = fuse_sources(AnnotationSources(*vols))
+        want_merged = merge_sources(AnnotationSources(*vols))
+        assert np.array_equal(merged.data, want_merged.data)
+        assert np.array_equal(fused.data, synthesize_endplates(want_merged).data)
+        assert order_sensitive == two_pass_order_sensitive(*vols)
+        return fused.data, order_sensitive
+
+    def test_cord_on_endplate_layer_canal_and_base_endplate(self):
+        # corpus over disc with a one-voxel sheet between them; along the
+        # sheet: cord on background (endplate had synthesis gone first),
+        # cord on canal (canal either way), cord on a base endplate
+        # (endplate either way)
+        base = np.zeros((8, 9, 8), dtype=np.uint16)
+        base[1:7, 1:4, 1:7] = Structure.CORPUS
+        base[1:7, 5:8, 1:7] = Structure.IVD
+        base[2, 4, 2] = Structure.SPINAL_CANAL
+        base[3, 4, 3] = Structure.ENDPLATE
+        cord = np.zeros_like(base)
+        cord[2, 4, 2:5] = 1
+        cord[3, 4, 3] = 1
+        fused, order_sensitive = self.check(base, np.zeros_like(base), cord)
+        assert fused[2, 4, 2] == fused[2, 4, 3] == fused[2, 4, 4] == Structure.SPINAL_CORD
+        assert fused[3, 4, 3] == Structure.ENDPLATE
+        assert order_sensitive == 3
+
+    def test_matches_the_two_pass_count_on_random_sources(self):
+        rng = np.random.default_rng(8)
+        shape = (10, 10, 10)
+        on_layer = 0
+        for _ in range(40):
+            base = np.zeros(shape, dtype=np.uint16)
+            sub = np.zeros(shape, dtype=np.uint16)
+            cord = np.zeros(shape, dtype=np.uint16)
+            # corpus over disc across a gap of 0-2 voxels, then random boxes
+            top = int(rng.integers(1, 4))
+            gap = int(rng.integers(0, 3))
+            base[1:9, top : top + 3, 1:9] = Structure.CORPUS
+            base[1:9, top + 3 + gap : top + 6 + gap, 1:9] = Structure.IVD
+            for arr, codes in ((base, (10, 11, 12, 1)), (sub, (2, 5, 10, 13)), (cord, (1, 1))):
+                for code in codes:
+                    lo = rng.integers(0, 8, size=3)
+                    hi = lo + rng.integers(1, 5, size=3)
+                    arr[tuple(slice(a, b) for a, b in zip(lo, hi))] = code
+            fused, _ = self.check(base, sub, cord)
+            # cord voxels on the one-voxel sheet, where synthesis first
+            # would have put endplate
+            sheet = np.zeros(shape, dtype=bool)
+            sheet[:, top + 3, :] = gap == 1
+            on_layer += int((sheet & (fused == Structure.SPINAL_CORD) & (base == 0) & (sub == 0)).sum())
+        assert on_layer > 20

@@ -2,13 +2,14 @@
 
 import json
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spineseg
-from spineseg.assembly import assemble
+from spineseg.assembly import assemble, check_answer
 from spineseg.labels import Structure
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, OracleSemanticPredictor
 from spineseg.pipeline import (
@@ -18,6 +19,7 @@ from spineseg.pipeline import (
     PredictorError,
     TilingSpec,
     _axis_positions,
+    _blend_window,
     predict_semantic,
     run_pipeline,
     tile_volume,
@@ -233,6 +235,124 @@ class TestPredictSemantic:
         vol = make_volume(np.zeros((8, 8, 8)), kind="intensity")
         with pytest.raises(ValueError, match="at least one"):
             predict_semantic(vol, [], TilingSpec(patch_size=(8, 8, 8)))
+
+
+def reference_accumulate(scores, weights, sl, w, out):
+    """The per-code accumulation: one full-patch ``w * (out == code)`` per
+    label code, every voxel of the patch added to the weights."""
+    if out.ndim == 3:
+        for code in np.unique(out):
+            scores[int(code)][sl] += w * (out == code)
+    else:
+        scores[:, sl[0], sl[1], sl[2]] += w * out
+    weights[sl] += w
+
+
+def reference_predict_semantic(vol, predictors, spec):
+    """Tiled prediction with the full-buffer ``np.argmax``: (labels, raw
+    scores, normalized scores)."""
+    scores = np.zeros((15,) + vol.dims, dtype=np.float32)
+    weights = np.zeros(vol.dims, dtype=np.float32)
+    for origin in tile_volume(vol.dims, spec):
+        sl = tuple(slice(o, min(o + p, d)) for o, p, d in zip(origin, spec.patch_size, vol.dims))
+        patch = Volume(np.ascontiguousarray(vol.data[sl]), vol.spacing, vol.orientation, vol.kind)
+        w = _blend_window(patch.dims, spec.blend)
+        for p in predictors:
+            out = check_answer(p.predict(patch, origin), patch.dims, 15, scores_ok=True)
+            reference_accumulate(scores, weights, sl, w, out)
+    labels = np.argmax(scores, axis=0).astype(np.uint16)
+    return labels, scores, scores / (weights * len(predictors))
+
+
+class RandomAnswers:
+    """A fresh random answer for every patch, the same for the same origin.
+
+    Label answers use few codes so that blended classes tie exactly;
+    ``"extreme"`` scores are 0 or +-3e38, which overflow to +-inf where
+    patches overlap.
+    """
+
+    LABEL_DTYPES = {"uint8": np.uint8, "uint16": np.uint16, "int64": np.int64,
+                    "bool": bool, "float32": np.float32}
+
+    def __init__(self, seed, kind):
+        self.seed = seed
+        self.kind = kind
+
+    def predict(self, patch, origin):
+        rng = np.random.default_rng([self.seed, *origin])
+        if self.kind == "scores":
+            return rng.integers(0, 3, size=(15,) + patch.dims).astype(np.float32)
+        if self.kind == "extreme":
+            return rng.choice(np.float32([-3e38, 0.0, 3e38]), size=(15,) + patch.dims)
+        high = 2 if self.kind == "bool" else 15
+        codes = rng.choice(rng.permutation(high)[:3], size=patch.dims)
+        return codes.astype(self.LABEL_DTYPES[self.kind])
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestTilingAgainstReference:
+    KINDS = ["scores", "extreme", *RandomAnswers.LABEL_DTYPES]
+
+    def random_case(self, rng, trial):
+        dims = tuple(int(n) for n in rng.integers(3, 21, size=3))
+        spec = TilingSpec(
+            patch_size=tuple(int(n) for n in rng.integers(4, 13, size=3)),
+            overlap=float(rng.choice([0.0, 0.25, 0.5])),
+            blend=str(rng.choice(["gaussian", "uniform"])),
+        )
+        members = [RandomAnswers(trial * 10 + m, str(rng.choice(self.KINDS)))
+                   for m in range(int(rng.integers(1, 4)))]
+        return make_volume(np.zeros(dims), kind="intensity"), members, spec
+
+    def test_labels_and_scores_match_the_full_argmax(self):
+        rng = np.random.default_rng(11)
+        kinds_seen, ties, infinities = set(), 0, 0
+        for trial in range(100):
+            vol, members, spec = self.random_case(rng, trial)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want_labels, raw, want_scores = reference_predict_semantic(vol, members, spec)
+                got = predict_semantic(vol, members, spec)
+                sem, scores = predict_semantic(vol, members, spec, return_scores=True)
+            assert same_bits(got.data, want_labels), trial
+            assert same_bits(sem.data, want_labels), trial
+            assert same_bits(scores, want_scores), trial
+            kinds_seen.update(m.kind for m in members)
+            top = raw.max(axis=0)
+            ties += int(((raw == top).sum(axis=0) > 1).sum())
+            infinities += int(np.isinf(raw).sum())
+        assert kinds_seen == set(self.KINDS)
+        assert ties > 1000 and infinities > 100
+
+    def test_ties_go_to_the_smaller_code(self):
+        vol = make_volume(np.zeros((16, 4, 4)), kind="intensity")
+        spec = TilingSpec(patch_size=(8, 4, 4), overlap=0.0, blend="uniform")
+
+        class Tied:
+            def predict(self, patch, origin):
+                out = np.zeros((15,) + patch.dims, dtype=np.float32)
+                out[[4, 9] if origin[0] == 0 else [12, 3]] = 1.0
+                return out
+
+        assert (predict_semantic(vol, Tied(), spec).data == [[[4]]] * 8 + [[[3]]] * 8).all()
+
+    def test_tiling_holds_one_score_buffer(self):
+        dims = (32, 96, 16)
+        vol = make_volume(np.zeros(dims), kind="intensity")
+        spec = TilingSpec(patch_size=(32, 48, 16), overlap=0.5)
+        predictor = RandomAnswers(5, "uint8")
+        buffer = 15 * np.prod(dims) * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            predict_semantic(vol, predictor, spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * buffer, (peak, buffer)
 
 
 def write_script(tmp_path, name, body):
