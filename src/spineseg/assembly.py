@@ -11,6 +11,7 @@ with ids keyed to the nearest vertebra above.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -63,6 +64,16 @@ def check_answer(answer, shape, n_labels: int, scores_ok: bool = False) -> np.nd
         allowed = ", ".join(str(k) for k in range(n_labels))
         raise PredictorError(f"label answer has values {lo}..{hi}, outside {{{allowed}}}")
     return out if out.dtype.kind in "iu" else out.astype(np.uint16)
+
+
+def predict_all(predictor, volumes, wheres):
+    """The predictor's answers for paired ``volumes`` and ``wheres``, in
+    input order: from ``predictor.predict_many`` when it has one (an
+    ``exec:`` predictor runs calls concurrently), else from one lazy
+    ``predict`` call per input. Close the stream when done with it, so
+    that an early exit stops any call still running."""
+    many = getattr(predictor, "predict_many", None)
+    yield from many(volumes, wheres) if many is not None else map(predictor.predict, volumes, wheres)
 
 
 @dataclass(frozen=True)
@@ -355,10 +366,11 @@ def assemble(
         }
         for c in cutouts
     ]
-    predictions = []
-    for cutout in cutouts:
-        answer = predictor.predict(cutout_window(semantic, cutout), cutout)
-        predictions.append(check_answer(answer, cutout.size, LABEL_BELOW + 1))
+    windows = (cutout_window(semantic, c) for c in cutouts)
+    with closing(predict_all(predictor, windows, cutouts)) as answers:
+        predictions = [
+            check_answer(a, c.size, LABEL_BELOW + 1) for c, a in zip(cutouts, answers, strict=True)
+        ]
 
     groups = collect_groups(cutouts, predictions)
     report.groups = [

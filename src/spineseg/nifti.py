@@ -155,8 +155,10 @@ def read_nifti(path, kind: str | None = None) -> Volume:
                 f"{path.name}: truncated data section ({len(buf)} of {nbytes} bytes)"
             )
 
-    data = np.frombuffer(buf, dtype=dt).reshape(dims, order="F")
-    data = np.ascontiguousarray(data.astype(dt.newbyteorder("=")))
+    view = np.frombuffer(buf, dtype=dt).reshape(dims, order="F")
+    # one copy, always: ascontiguousarray would hand back the read-only
+    # buffer whenever the view is C-contiguous too (dims like 1x1xN)
+    data = np.array(view, dtype=dt.newbyteorder("="), order="C")
     if scl_slope not in (0.0, 1.0) or scl_inter != 0.0:
         slope = scl_slope if scl_slope != 0.0 else 1.0
         data = data.astype(np.float32) * slope + scl_inter
@@ -183,33 +185,32 @@ def write_nifti(vol: Volume, path) -> None:
     """
     path = Path(path)
     validate_orientation(vol.orientation)
+    data = np.asarray(vol.data)
     if vol.is_label:
-        data = np.asarray(vol.data)
         if data.min() < 0 or data.max() > LABEL_MAX:
             raise NiftiError("label values outside the unsigned 16-bit range")
-        payload = data.astype("<u2")
-        datatype, bitpix = _LABEL_CODE, 16
+        dtype, datatype = np.dtype("<u2"), _LABEL_CODE
     else:
-        payload = np.asarray(vol.data).astype("<f4")
-        datatype, bitpix = _INTENSITY_CODE, 32
+        dtype, datatype = np.dtype("<f4"), _INTENSITY_CODE
 
     affine = _build_affine(vol)
-    header = bytearray(HEADER_SIZE)
-    struct.pack_into("<i", header, 0, HEADER_SIZE)
-    struct.pack_into("<8h", header, 40, 3, *vol.dims, 1, 1, 1, 1)
-    struct.pack_into("<h", header, 70, datatype)
-    struct.pack_into("<h", header, 72, bitpix)
-    struct.pack_into("<8f", header, 76, 1.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", header, 108, float(HEADER_SIZE + 4))  # vox_offset
-    struct.pack_into("<2f", header, 112, 1.0, 0.0)  # scl_slope, scl_inter
-    header[123] = 2  # xyzt_units: millimetres
-    struct.pack_into("<2h", header, 252, 0, 1)  # qform off, sform on
-    struct.pack_into("<4f", header, 280, *affine[0])
-    struct.pack_into("<4f", header, 296, *affine[1])
-    struct.pack_into("<4f", header, 312, *affine[2])
-    header[344:348] = MAGIC_SINGLE
+    # header, four zero extension bytes and the voxels in one buffer
+    blob = bytearray(HEADER_SIZE + 4 + data.size * dtype.itemsize)
+    struct.pack_into("<i", blob, 0, HEADER_SIZE)
+    struct.pack_into("<8h", blob, 40, 3, *vol.dims, 1, 1, 1, 1)
+    struct.pack_into("<h", blob, 70, datatype)
+    struct.pack_into("<h", blob, 72, 8 * dtype.itemsize)  # bitpix
+    struct.pack_into("<8f", blob, 76, 1.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into("<f", blob, 108, float(HEADER_SIZE + 4))  # vox_offset
+    struct.pack_into("<2f", blob, 112, 1.0, 0.0)  # scl_slope, scl_inter
+    blob[123] = 2  # xyzt_units: millimetres
+    struct.pack_into("<2h", blob, 252, 0, 1)  # qform off, sform on
+    struct.pack_into("<4f", blob, 280, *affine[0])
+    struct.pack_into("<4f", blob, 296, *affine[1])
+    struct.pack_into("<4f", blob, 312, *affine[2])
+    blob[344:348] = MAGIC_SINGLE
+    np.ndarray(vol.dims, dtype=dtype, buffer=blob, offset=HEADER_SIZE + 4, order="F")[...] = data
 
-    blob = bytes(header) + b"\x00\x00\x00\x00" + payload.tobytes(order="F")
     if path.name.endswith(".gz"):
         with open(path, "wb") as raw:
             with gzip.GzipFile(fileobj=raw, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0) as gz:

@@ -9,17 +9,20 @@ files, so any model framework can plug in without being imported here.
 
 from __future__ import annotations
 
+import os
 import shlex
 import subprocess
 import tempfile
 import time
 import uuid
+from collections import deque
+from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import CUTOUT_SIZE, PredictorError, assemble, check_answer
+from .assembly import CUTOUT_SIZE, PredictorError, assemble, check_answer, predict_all
 from .labels import Structure
 from .nifti import read_nifti, write_nifti
 from .postproc import enforce_consistency
@@ -84,9 +87,10 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
 
     ``predictor`` is one object or a sequence (an ensemble; their scores
     are averaged, which for identical members equals any single one).
-    Each must provide ``predict(patch: Volume, origin) -> array`` where
-    the array is either an integral label patch with values 0..14
-    (integral floats are accepted) or finite per-class scores of shape
+    Each must provide ``predict(patch: Volume, origin) -> array`` (and
+    may provide ``predict_many``, see ``assembly.predict_all``) where the
+    array is either an integral label patch with values 0..14 (integral
+    floats are accepted) or finite per-class scores of shape
     ``(15,) + patch.dims``. Any other answer raises ``PredictorError``
     (see ``assembly.check_answer``). Argmax ties resolve to the smaller
     class code. Tiling holds one class-first float32 score buffer, and the
@@ -98,16 +102,27 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
     dims = vol.dims
     scores = np.zeros((N_CLASSES,) + dims, dtype=np.float32)
     weights = np.zeros(dims, dtype=np.float32) if return_scores else None
-    for origin in tile_volume(dims, spec):
-        sl = tuple(slice(o, min(o + p, d)) for o, p, d in zip(origin, spec.patch_size, dims))
-        data = np.ascontiguousarray(vol.data[sl])
-        patch = Volume(data, vol.spacing, vol.orientation, vol.kind)
-        w = _blend_window(patch.dims, spec.blend)
-        for p in predictors:
-            out = check_answer(p.predict(patch, origin), patch.dims, N_CLASSES, scores_ok=True)
-            _accumulate(scores, sl, w, out)
-            if return_scores:
-                weights[sl] += w
+    origins = tile_volume(dims, spec)
+    slices = [
+        tuple(slice(o, min(o + p, d)) for o, p, d in zip(origin, spec.patch_size, dims))
+        for origin in origins
+    ]
+
+    def patches():
+        for sl in slices:
+            yield Volume(np.ascontiguousarray(vol.data[sl]), vol.spacing, vol.orientation, vol.kind)
+
+    with ExitStack() as stack:
+        streams = [
+            stack.enter_context(closing(predict_all(p, patches(), origins))) for p in predictors
+        ]
+        # patch by patch, member by member: the accumulation order is fixed
+        for sl, *answers in zip(slices, *streams, strict=True):
+            w = _blend_window(tuple(s.stop - s.start for s in sl), spec.blend)
+            for answer in answers:
+                _accumulate(scores, sl, w, check_answer(answer, w.shape, N_CLASSES, scores_ok=True))
+                if return_scores:
+                    weights[sl] += w
     # np.argmax(scores, axis=0) copies the buffer; strict > keeps ties on the smaller code
     best = scores[0].copy()
     labels = np.zeros(dims, dtype=np.uint16)
@@ -116,7 +131,7 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
         np.maximum(best, scores[code], out=best)
     semantic = Volume(labels, vol.spacing, vol.orientation, "semantic")
     if return_scores:
-        return semantic, scores / (weights * len(predictors))
+        return semantic, scores / weights
     return semantic
 
 
@@ -137,6 +152,10 @@ class ExternalPredictor:
     ``out_<uuid>_c<k>.nii.gz`` per class (scores). Nonzero exit status,
     timeout, or missing output is a failure carrying the diagnostics; the
     answer itself is checked by the phase that asked for it.
+
+    Calls may run concurrently, up to one per available CPU, and their
+    answers are used in input order. A command must not assume it runs
+    alone; one that must can serialize itself, e.g. with ``flock``.
     """
 
     def __init__(self, command: str, exchange_dir=None, timeout: float = 300.0):
@@ -152,25 +171,55 @@ class ExternalPredictor:
     def predict(self, volume: Volume, where) -> np.ndarray:
         """The command's answer for ``volume``; ``where`` (a patch origin or
         a cutout) is not passed on."""
-        uid = uuid.uuid4().hex
-        in_path = self.exchange_dir / f"in_{uid}.nii.gz"
-        out_path = self.exchange_dir / f"out_{uid}.nii.gz"
-        score_paths = [self.exchange_dir / f"out_{uid}_c{k}.nii.gz" for k in range(N_CLASSES)]
-        write_nifti(volume, in_path)
-        argv = _substitute(self.command, in_path, out_path)
+        return next(self.predict_many([volume], [where]))
+
+    def predict_many(self, volumes, wheres):
+        """``predict`` over paired ``volumes`` and ``wheres``: answers in input
+        order, up to one command running per available CPU, each call timed
+        out from its own start. An error or ``close()`` kills and waits for
+        the commands still running and deletes their exchange files."""
+        affinity = getattr(os, "sched_getaffinity", None)
+        window = len(affinity(0)) if affinity else os.cpu_count() or 1
+        running = deque()
         try:
+            for volume, _ in zip(volumes, wheres, strict=True):
+                if len(running) == window:
+                    yield self._answer(running)
+                uid = uuid.uuid4().hex
+                stems = [f"in_{uid}", f"out_{uid}", *(f"out_{uid}_c{k}" for k in range(N_CLASSES))]
+                paths = [self.exchange_dir / f"{stem}.nii.gz" for stem in stems]
+                call = _Call(paths, _substitute(self.command, *paths[:2]))
+                running.append(call)  # from here on, every exit discards it
+                write_nifti(volume, paths[0])
+                call.start = time.monotonic()
+                try:
+                    call.proc = subprocess.Popen(
+                        call.argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+                    )
+                except OSError as e:
+                    raise PredictorError(f"could not launch predictor {call.argv}: {e}")
+            while running:
+                yield self._answer(running)
+        finally:
+            for call in running:
+                call.discard()
+
+    def _answer(self, running: deque) -> np.ndarray:
+        """The answer of the oldest call in ``running``, which leaves it."""
+        call = running[0]
+        proc, argv = call.proc, call.argv
+        in_path, out_path, *score_paths = call.paths
+        try:
+            # a command that has ended is not late, however long it waited here
+            left = max(call.start + self.timeout - time.monotonic(), 0)
             try:
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True, timeout=self.timeout
-                )
+                stdout, stderr = proc.communicate(timeout=None if proc.poll() is not None else left)
             except subprocess.TimeoutExpired:
                 raise PredictorError(f"predictor timed out after {self.timeout}s: {argv}")
-            except OSError as e:
-                raise PredictorError(f"could not launch predictor {argv}: {e}")
             if proc.returncode != 0:
                 raise PredictorError(
                     f"predictor exited with status {proc.returncode}: {argv}\n"
-                    f"stdout: {proc.stdout[-2000:]}\nstderr: {proc.stderr[-2000:]}"
+                    f"stdout: {stdout[-2000:]}\nstderr: {stderr[-2000:]}"
                 )
             if out_path.exists():
                 try:
@@ -188,11 +237,29 @@ class ExternalPredictor:
                 return np.stack(planes, axis=0)
             raise PredictorError(
                 f"predictor wrote no output for {in_path.name}\n"
-                f"stdout: {proc.stdout[-2000:]}\nstderr: {proc.stderr[-2000:]}"
+                f"stdout: {stdout[-2000:]}\nstderr: {stderr[-2000:]}"
             )
         finally:
-            for p in [in_path, out_path, *score_paths]:
-                p.unlink(missing_ok=True)
+            running.popleft().discard()
+
+
+@dataclass
+class _Call:
+    """One ``exec:`` call: exchange files (input, label output, score outputs) and process."""
+
+    paths: list[Path]
+    argv: list[str]
+    start: float = 0.0
+    proc: subprocess.Popen | None = None
+
+    def discard(self) -> None:
+        """Kill and wait for the command if it still runs; delete the files."""
+        if self.proc is not None:
+            self.proc.kill()
+            with self.proc:  # closes the pipes and waits
+                pass
+        for p in self.paths:
+            p.unlink(missing_ok=True)
 
 
 ExternalSemanticPredictor = ExternalInstancePredictor = ExternalPredictor

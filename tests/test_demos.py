@@ -2,8 +2,7 @@
 
 Each demo runs as its own process with ``src`` on the import path, the way
 a reader runs it. The robustness sweep runs with one run per noise
-level; the two long demos (two_phase_pipeline, external_predictor; about
-a minute or more each) are left out.
+level; every other demo runs as it is (each takes a few seconds).
 """
 
 import os
@@ -37,7 +36,9 @@ def test_metrics_tour_prints_the_hand_checked_values():
     assert "p = 0.0625" in out
 
 
-@pytest.mark.parametrize("name", ["annotation_fusion", "phantom_gallery"])
+@pytest.mark.parametrize(
+    "name", ["annotation_fusion", "phantom_gallery", "two_phase_pipeline", "external_predictor"]
+)
 def test_demo_exits_zero(name):
     run_demo(name)
 

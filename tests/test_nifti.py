@@ -9,6 +9,7 @@ writer.
 import builtins
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,52 @@ class TestRoundTrip:
         vol = Volume(np.full((2, 2, 2), 70000, dtype=np.int64), kind="instance")
         with pytest.raises(NiftiError):
             write_nifti(vol, tmp_path / "v.nii")
+
+
+def traced_peak(fn):
+    """``fn()`` and the tracemalloc peak it reached above what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneCopyEachWay:
+    """A write holds the file image once; a read holds the file's bytes and
+    one array (64^3 float32, payload 1 MiB)."""
+
+    DIMS = (64, 64, 64)
+    PAYLOAD = 4 * 64**3
+
+    @pytest.fixture()
+    def vol(self):
+        data = np.random.default_rng(0).normal(size=self.DIMS).astype(np.float32)
+        return Volume(data, kind="intensity")
+
+    def test_nii_write(self, vol, tmp_path):
+        _, peak = traced_peak(lambda: write_nifti(vol, tmp_path / "v.nii"))
+        assert peak < 1.5 * self.PAYLOAD, peak / self.PAYLOAD
+
+    @pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+    def test_read(self, name, vol, tmp_path):
+        write_nifti(vol, tmp_path / name)
+        back, peak = traced_peak(lambda: read_nifti(tmp_path / name))
+        assert peak < 2.5 * self.PAYLOAD, peak / self.PAYLOAD
+        assert np.array_equal(back.data, vol.data)
+        assert back.data.flags.writeable and back.data.flags.c_contiguous
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    def test_single_column_reads_back_writable(self, endian, tmp_path):
+        # the F-order view of a 1x1xN file is C-contiguous as well
+        path = tmp_path / "col.nii"
+        hdr = make_header((1, 1, 9), datatype=512, bitpix=16, endian=endian)
+        write_raw(path, hdr, np.arange(9, dtype=np.uint16).reshape(1, 1, 9), endian)
+        back = read_nifti(path).data
+        assert back.ravel().tolist() == list(range(9))
+        back[0, 0, 0] = 7  # raises on a read-only array
 
 
 class TestHandBuiltFixtures:

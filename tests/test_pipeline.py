@@ -1,7 +1,9 @@
 """Tiling, blended tiled prediction, external predictors, full runs."""
 
 import json
+import os
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from spineseg.labels import Structure
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, OracleSemanticPredictor
 from spineseg.pipeline import (
     ExternalInstancePredictor,
+    ExternalPredictor,
     ExternalSemanticPredictor,
     PipelineConfig,
     PredictorError,
@@ -174,6 +177,21 @@ class TestPredictSemantic:
         assert scores.shape == (15,) + sem.dims
         assert np.allclose(scores.sum(axis=0), 1.0, atol=1e-5)
 
+    def test_ensemble_scores_are_the_member_average(self):
+        labels = np.random.default_rng(4).integers(0, 15, size=(16, 8, 8))
+        vol = make_volume(np.zeros(labels.shape), kind="intensity")
+
+        class Labels:
+            def predict(self, patch, origin):
+                return labels[tuple(slice(o, o + s) for o, s in zip(origin, patch.dims))]
+
+        spec = TilingSpec(patch_size=(8, 8, 8), overlap=0.5)
+        _, one = predict_semantic(vol, Labels(), spec, return_scores=True)
+        _, three = predict_semantic(vol, [Labels()] * 3, spec, return_scores=True)
+        assert np.allclose(one.sum(axis=0), 1.0, atol=1e-6)
+        assert np.allclose(three.sum(axis=0), 1.0, atol=1e-6)
+        assert np.allclose(three, one, atol=1e-6)
+
     def test_rejects_bad_labels_and_shapes(self):
         vol = make_volume(np.zeros((8, 8, 8)), kind="intensity")
         spec = TilingSpec(patch_size=(8, 8, 8))
@@ -261,7 +279,7 @@ def reference_predict_semantic(vol, predictors, spec):
             out = check_answer(p.predict(patch, origin), patch.dims, 15, scores_ok=True)
             reference_accumulate(scores, weights, sl, w, out)
     labels = np.argmax(scores, axis=0).astype(np.uint16)
-    return labels, scores, scores / (weights * len(predictors))
+    return labels, scores, scores / weights
 
 
 class RandomAnswers:
@@ -393,6 +411,93 @@ def small_semantic():
     return make_volume(data)
 
 
+# Every child logs "<start> <end>" to <log dir>/<pid>.log (or its pid
+# alone when it starts) and sleeps less the later its call comes.
+ORDERED_SEMANTIC_SCRIPT = """
+    import os, time
+    start = time.time()
+    from spineseg.nifti import read_nifti, write_nifti
+    vol = read_nifti(sys.argv[1])
+    time.sleep(0.2 * (5 - int(vol.data.max())))
+    write_nifti(vol, sys.argv[2])
+    with open(os.path.join(sys.argv[3], "%d.log" % os.getpid()), "w") as log:
+        log.write("%r %r" % (start, time.time()))
+"""
+
+ORDERED_INSTANCE_SCRIPT = """
+    import os, time
+    start = time.time()
+    from spineseg.nifti import read_nifti, write_nifti
+    vol = read_nifti(sys.argv[1])
+    corpus = vol.data == 1
+    time.sleep(25.6 / corpus.sum())
+    write_nifti(vol.with_data(2 * corpus.astype("u2")), sys.argv[2])
+    with open(os.path.join(sys.argv[3], "%d.log" % os.getpid()), "w") as log:
+        log.write("%r %r" % (start, time.time()))
+"""
+
+FIRST_FAILS_SCRIPT = """
+    import os, time
+    open(os.path.join(sys.argv[3], "%d.log" % os.getpid()), "w").close()
+    from spineseg.nifti import read_nifti, write_nifti
+    vol = read_nifti(sys.argv[1])
+    if vol.data.max() == 1:
+        if sys.argv[4] == "exit":
+            sys.exit(3)
+        write_nifti(vol.with_data(vol.data + 19), sys.argv[2])  # label 20 is no class
+    else:
+        time.sleep(30)
+"""
+
+
+class Echo:
+    def predict(self, patch, origin):
+        return patch.data
+
+
+class CenterCorpus:
+    def predict(self, window, cutout):
+        return 2 * (window.data == Structure.CORPUS).astype(np.uint16)
+
+
+def numbered_patches():
+    """Four disjoint 8^3 patches, the k-th filled with label k."""
+    data = np.repeat(np.arange(1, 5), 8)[:, None, None] * np.ones((1, 8, 8))
+    return make_volume(data), TilingSpec(patch_size=(8, 8, 8), overlap=0.0)
+
+
+def growing_corpora():
+    """Four corpus boxes down axis 1, the k-th of 32k voxels, one per 16x16x8 cutout."""
+    data = np.zeros((16, 64, 8), dtype=np.uint16)
+    for k, y in enumerate((8, 24, 40, 56), start=1):
+        data[2 : 2 + 2 * k, y - 2 : y + 2, 2:6] = Structure.CORPUS
+    return make_volume(data)
+
+
+def script_predictor(tmp_path, body, *args):
+    """An ``exec:`` predictor exchanging in ``tmp_path / "xchg"`` and running
+    ``body`` with the input, the output and ``args`` as its arguments."""
+    script = write_script(tmp_path, "model.py", body)
+    command = " ".join(["python3", str(script), "{input}", "{output}", *map(str, args)])
+    return ExternalPredictor(command, tmp_path / "xchg")
+
+
+def logged_children(log_dir):
+    """{pid: (start, end) or ()} from the children's logs."""
+    return {
+        int(p.stem): tuple(float(t) for t in p.read_text().split())
+        for p in Path(log_dir).glob("*.log")
+    }
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestExternalPredictors:
     def test_label_round_trip(self, tmp_path, small_semantic):
         script = write_script(tmp_path, "identity.py", IDENTITY_SCRIPT)
@@ -467,6 +572,60 @@ class TestExternalPredictors:
         )
         with pytest.raises(PredictorError, match="timed out"):
             pred.predict(small_semantic, (0, 0, 0))
+
+    def test_answers_are_used_in_input_order(self, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        vol, spec = numbered_patches()
+        got = predict_semantic(vol, script_predictor(tmp_path, ORDERED_SEMANTIC_SCRIPT, logs), spec)
+        assert np.array_equal(got.data, predict_semantic(vol, Echo(), spec).data)
+
+        semantic = growing_corpora()
+        inst_pred = script_predictor(tmp_path, ORDERED_INSTANCE_SCRIPT, logs)
+        got, got_report = assemble(semantic, inst_pred, cutout_size=(16, 16, 8))
+        want, want_report = assemble(semantic, CenterCorpus(), cutout_size=(16, 16, 8))
+        assert np.array_equal(got.data, want.data)
+        assert got_report.to_dict() == want_report.to_dict()
+        assert len(want_report.cutouts) == 4 and set(np.unique(want.data)) >= {1, 2, 3, 4}
+        assert len(logged_children(logs)) == 8
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_calls_overlap(self, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        vol, spec = numbered_patches()
+        predict_semantic(vol, script_predictor(tmp_path, ORDERED_SEMANTIC_SCRIPT, logs), spec)
+        spans = sorted(logged_children(logs).values())
+        assert len(spans) == 4
+        assert any(later[0] < earlier[1] for earlier, later in zip(spans, spans[1:])), spans
+
+    @pytest.mark.parametrize("failure", ["exit", "label"])
+    def test_failure_stops_every_running_call(self, failure, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        vol, spec = numbered_patches()
+        pred = script_predictor(tmp_path, FIRST_FAILS_SCRIPT, logs, failure)
+        t = time.perf_counter()
+        with pytest.raises(PredictorError, match="status 3" if failure == "exit" else "outside"):
+            predict_semantic(vol, pred, spec)
+        assert time.perf_counter() - t < 15
+        assert list(pred.exchange_dir.iterdir()) == []
+        pids = logged_children(logs)
+        assert pids and not any(alive(pid) for pid in pids)
+
+    def test_closing_the_stream_stops_every_running_call(self, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        vol, spec = numbered_patches()
+        patches = [vol.with_data(vol.data[8 * k : 8 * k + 8]) for k in range(4)]
+        pred = script_predictor(tmp_path, FIRST_FAILS_SCRIPT, logs, "label")
+        stream = pred.predict_many(patches, [(8 * k, 0, 0) for k in range(4)])
+        assert next(stream).max() == 20
+        t = time.perf_counter()
+        stream.close()
+        assert time.perf_counter() - t < 15
+        assert list(pred.exchange_dir.iterdir()) == []
+        assert not any(alive(pid) for pid in logged_children(logs))
 
     def test_instance_labels_validated(self, tmp_path, small_semantic):
         script = write_script(
