@@ -67,11 +67,9 @@ def check_answer(answer, shape, n_labels: int, scores_ok: bool = False) -> np.nd
 
 
 def predict_all(predictor, volumes, wheres):
-    """The predictor's answers for paired ``volumes`` and ``wheres``, in
-    input order: from ``predictor.predict_many`` when it has one (an
-    ``exec:`` predictor runs calls concurrently), else from one lazy
-    ``predict`` call per input. Close the stream when done with it, so
-    that an early exit stops any call still running."""
+    """The answers for paired ``volumes`` and ``wheres`` in input order, from
+    ``predictor.predict_many`` if it has one, else one lazy ``predict`` per
+    input. Close the stream when done, so an early exit stops running calls."""
     many = getattr(predictor, "predict_many", None)
     yield from many(volumes, wheres) if many is not None else map(predictor.predict, volumes, wheres)
 

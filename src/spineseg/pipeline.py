@@ -18,6 +18,7 @@ import uuid
 from collections import deque
 from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field
+from itertools import tee
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,9 @@ from .volume import Volume, resample, to_canonical
 
 N_CLASSES = len(Structure)
 DEFAULT_SPACING = (0.75, 0.75, 1.65)
+# exec: calls running at once per predictor: measured with a single-threaded
+# command on two cores; a multi-threaded or GPU model would fight wider
+_MAX_RUNNING = 2
 
 
 @dataclass(frozen=True)
@@ -107,14 +111,15 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
         tuple(slice(o, min(o + p, d)) for o, p, d in zip(origin, spec.patch_size, dims))
         for origin in origins
     ]
-
-    def patches():
-        for sl in slices:
-            yield Volume(np.ascontiguousarray(vol.data[sl]), vol.spacing, vol.orientation, vol.kind)
-
+    # each patch is cut once, lazily, and shared by all members
+    patches = (
+        Volume(np.ascontiguousarray(vol.data[sl]), vol.spacing, vol.orientation, vol.kind)
+        for sl in slices
+    )
     with ExitStack() as stack:
         streams = [
-            stack.enter_context(closing(predict_all(p, patches(), origins))) for p in predictors
+            stack.enter_context(closing(predict_all(p, each, origins)))
+            for p, each in zip(predictors, tee(patches, len(predictors)))
         ]
         # patch by patch, member by member: the accumulation order is fixed
         for sl, *answers in zip(slices, *streams, strict=True):
@@ -153,9 +158,10 @@ class ExternalPredictor:
     timeout, or missing output is a failure carrying the diagnostics; the
     answer itself is checked by the phase that asked for it.
 
-    Calls may run concurrently, up to one per available CPU, and their
-    answers are used in input order. A command must not assume it runs
-    alone; one that must can serialize itself, e.g. with ``flock``.
+    Calls may run concurrently, up to two per predictor (2K for an
+    ensemble of K), and their answers are used in input order. A command
+    must not assume it runs alone; one that must can serialize itself,
+    e.g. with ``flock``. Its output goes to ``log_<uuid>.std{out,err}``.
     """
 
     def __init__(self, command: str, exchange_dir=None, timeout: float = 300.0):
@@ -175,11 +181,11 @@ class ExternalPredictor:
 
     def predict_many(self, volumes, wheres):
         """``predict`` over paired ``volumes`` and ``wheres``: answers in input
-        order, up to one command running per available CPU, each call timed
-        out from its own start. An error or ``close()`` kills and waits for
-        the commands still running and deletes their exchange files."""
+        order, up to two commands running at once, each call timed out from
+        its own start. An error or ``close()`` kills and waits for the
+        commands still running and deletes their exchange files."""
         affinity = getattr(os, "sched_getaffinity", None)
-        window = len(affinity(0)) if affinity else os.cpu_count() or 1
+        window = min(_MAX_RUNNING, len(affinity(0)) if affinity else os.cpu_count() or 1)
         running = deque()
         try:
             for volume, _ in zip(volumes, wheres, strict=True):
@@ -188,16 +194,17 @@ class ExternalPredictor:
                 uid = uuid.uuid4().hex
                 stems = [f"in_{uid}", f"out_{uid}", *(f"out_{uid}_c{k}" for k in range(N_CLASSES))]
                 paths = [self.exchange_dir / f"{stem}.nii.gz" for stem in stems]
+                paths += [self.exchange_dir / f"log_{uid}.{s}" for s in ("stdout", "stderr")]
                 call = _Call(paths, _substitute(self.command, *paths[:2]))
                 running.append(call)  # from here on, every exit discards it
                 write_nifti(volume, paths[0])
                 call.start = time.monotonic()
-                try:
-                    call.proc = subprocess.Popen(
-                        call.argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
-                    )
-                except OSError as e:
-                    raise PredictorError(f"could not launch predictor {call.argv}: {e}")
+                # output goes to files: a pipe nobody reads yet would stall a chatty command
+                with open(paths[-2], "wb") as out, open(paths[-1], "wb") as err:
+                    try:
+                        call.proc = subprocess.Popen(call.argv, stdout=out, stderr=err)
+                    except OSError as e:
+                        raise PredictorError(f"could not launch predictor {call.argv}: {e}")
             while running:
                 yield self._answer(running)
         finally:
@@ -208,18 +215,17 @@ class ExternalPredictor:
         """The answer of the oldest call in ``running``, which leaves it."""
         call = running[0]
         proc, argv = call.proc, call.argv
-        in_path, out_path, *score_paths = call.paths
+        in_path, out_path, *score_paths, out_log, err_log = call.paths
         try:
-            # a command that has ended is not late, however long it waited here
-            left = max(call.start + self.timeout - time.monotonic(), 0)
             try:
-                stdout, stderr = proc.communicate(timeout=None if proc.poll() is not None else left)
+                # a command that has ended is not late, however long it waited here
+                proc.wait(timeout=max(call.start + self.timeout - time.monotonic(), 0))
             except subprocess.TimeoutExpired:
                 raise PredictorError(f"predictor timed out after {self.timeout}s: {argv}")
             if proc.returncode != 0:
                 raise PredictorError(
                     f"predictor exited with status {proc.returncode}: {argv}\n"
-                    f"stdout: {stdout[-2000:]}\nstderr: {stderr[-2000:]}"
+                    f"stdout: {_tail(out_log)}\nstderr: {_tail(err_log)}"
                 )
             if out_path.exists():
                 try:
@@ -237,15 +243,19 @@ class ExternalPredictor:
                 return np.stack(planes, axis=0)
             raise PredictorError(
                 f"predictor wrote no output for {in_path.name}\n"
-                f"stdout: {stdout[-2000:]}\nstderr: {stderr[-2000:]}"
+                f"stdout: {_tail(out_log)}\nstderr: {_tail(err_log)}"
             )
         finally:
             running.popleft().discard()
 
 
+def _tail(path: Path) -> str:
+    return path.read_text(errors="replace")[-2000:]
+
+
 @dataclass
 class _Call:
-    """One ``exec:`` call: exchange files (input, label output, score outputs) and process."""
+    """One ``exec:`` call: exchange files (input, outputs, logs) and process."""
 
     paths: list[Path]
     argv: list[str]
@@ -256,8 +266,7 @@ class _Call:
         """Kill and wait for the command if it still runs; delete the files."""
         if self.proc is not None:
             self.proc.kill()
-            with self.proc:  # closes the pipes and waits
-                pass
+            self.proc.wait()
         for p in self.paths:
             p.unlink(missing_ok=True)
 

@@ -1,5 +1,6 @@
 """Tiling, blended tiled prediction, external predictors, full runs."""
 
+import itertools
 import json
 import os
 import textwrap
@@ -450,6 +451,23 @@ FIRST_FAILS_SCRIPT = """
 """
 
 
+# Writes 200 KiB to stderr first; the call on label 1 then takes 2 s, the
+# one on label 2 none. Logs "<start> <end>" to <log dir>/<label>.log.
+CHATTY_SCRIPT = """
+    import os, time
+    start = time.time()
+    sys.stderr.write("x" * 200 * 1024)
+    sys.stderr.flush()
+    from spineseg.nifti import read_nifti, write_nifti
+    vol = read_nifti(sys.argv[1])
+    k = int(vol.data.max())
+    time.sleep(2.0 if k == 1 else 0.0)
+    write_nifti(vol, sys.argv[2])
+    with open(os.path.join(sys.argv[3], "%d.log" % k), "w") as log:
+        log.write("%r %r" % (start, time.time()))
+"""
+
+
 class Echo:
     def predict(self, patch, origin):
         return patch.data
@@ -474,12 +492,12 @@ def growing_corpora():
     return make_volume(data)
 
 
-def script_predictor(tmp_path, body, *args):
+def script_predictor(tmp_path, body, *args, timeout=300.0):
     """An ``exec:`` predictor exchanging in ``tmp_path / "xchg"`` and running
     ``body`` with the input, the output and ``args`` as its arguments."""
     script = write_script(tmp_path, "model.py", body)
     command = " ".join(["python3", str(script), "{input}", "{output}", *map(str, args)])
-    return ExternalPredictor(command, tmp_path / "xchg")
+    return ExternalPredictor(command, tmp_path / "xchg", timeout)
 
 
 def logged_children(log_dir):
@@ -488,6 +506,12 @@ def logged_children(log_dir):
         int(p.stem): tuple(float(t) for t in p.read_text().split())
         for p in Path(log_dir).glob("*.log")
     }
+
+
+def most_at_once(spans):
+    """The largest number of (start, end) spans open at one time."""
+    events = sorted([(start, 1) for start, _ in spans] + [(end, -1) for _, end in spans])
+    return max(itertools.accumulate(step for _, step in events))
 
 
 def alive(pid):
@@ -598,6 +622,34 @@ class TestExternalPredictors:
         spans = sorted(logged_children(logs).values())
         assert len(spans) == 4
         assert any(later[0] < earlier[1] for earlier, later in zip(spans, spans[1:])), spans
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_chatty_call_runs_on_while_an_older_one_is_awaited(self, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        vol, _ = numbered_patches()
+        patches = [vol.with_data(vol.data[8 * k : 8 * k + 8]) for k in range(2)]
+        pred = script_predictor(tmp_path, CHATTY_SCRIPT, logs, timeout=10.0)
+        answers = list(pred.predict_many(patches, [(0, 0, 0), (8, 0, 0)]))
+        assert [a.max() for a in answers] == [1, 2]
+        spans = logged_children(logs)
+        # a pipe would hold the second call at its write until the first was answered
+        assert spans[2][1] < spans[1][1] - 1.0, spans
+        assert list(pred.exchange_dir.iterdir()) == []
+
+    def test_at_most_two_calls_per_member_run_at_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
+        vol, spec = numbered_patches()
+        members = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            members.append(script_predictor(tmp_path / name, ORDERED_SEMANTIC_SCRIPT, tmp_path / name))
+        got = predict_semantic(vol, members, spec)
+        assert np.array_equal(got.data, predict_semantic(vol, Echo(), spec).data)
+        spans = {name: list(logged_children(tmp_path / name).values()) for name in ("a", "b")}
+        assert [len(s) for s in spans.values()] == [4, 4]
+        assert max(most_at_once(s) for s in spans.values()) <= 2, spans
+        assert most_at_once(spans["a"] + spans["b"]) <= 4, spans
 
     @pytest.mark.parametrize("failure", ["exit", "label"])
     def test_failure_stops_every_running_call(self, failure, tmp_path):
