@@ -21,6 +21,7 @@ from .labels import VERTEBRA_ID_MAX, Structure, is_vertebra_id, structure_instan
 from .volume import Volume, connected_components, label_centroids, overlap, window_view
 
 CUTOUT_SIZE = (248, 304, 64)
+MIN_VOLUME_FRACTION = 0.10
 
 LABEL_ABOVE, LABEL_CENTER, LABEL_BELOW = 1, 2, 3
 
@@ -90,7 +91,7 @@ class Cutout:
     clamped: bool = False
 
 
-def find_corpus_centers(semantic: Volume, min_volume_fraction: float = 0.10):
+def find_corpus_centers(semantic: Volume, min_volume_fraction: float = MIN_VOLUME_FRACTION):
     """Corpus-component centroids ordered superior to inferior.
 
     Components smaller than ``min_volume_fraction`` times the median
@@ -259,14 +260,15 @@ def vertebra_centroids(semantic: np.ndarray, instance: np.ndarray) -> dict[int, 
     A vertebra's centroid is the mean over its corpus voxels, or over all
     of its voxels when it has no corpus voxel.
     """
-    vertebrae = np.where(is_vertebra_id(instance), instance, 0)
-    counts, centroids = label_centroids(vertebrae, VERTEBRA_ID_MAX)
-    corpus_counts, corpus_centroids = label_centroids(
-        np.where(semantic == Structure.CORPUS, vertebrae, 0), VERTEBRA_ID_MAX
-    )
+    # vertebra v's corpus voxels go under key v + VERTEBRA_ID_MAX (too big for int8)
+    dtype = np.promote_types(instance.dtype, np.uint8)
+    keyed = np.where(is_vertebra_id(instance), instance, 0).astype(dtype, copy=False)
+    keyed[(semantic == Structure.CORPUS) & (keyed > 0)] += VERTEBRA_ID_MAX
+    counts, centroids = label_centroids(keyed, 2 * VERTEBRA_ID_MAX)
+    rest, corpus = counts[:VERTEBRA_ID_MAX], counts[VERTEBRA_ID_MAX:]
     return {
-        int(i) + 1: (corpus_centroids if corpus_counts[i] else centroids)[i]
-        for i in np.flatnonzero(counts)
+        int(i) + 1: centroids[i + VERTEBRA_ID_MAX if corpus[i] else i]
+        for i in np.flatnonzero(rest + corpus)
     }
 
 
@@ -331,7 +333,7 @@ class AssemblyReport:
 def assemble(
     semantic: Volume,
     predictor,
-    min_volume_fraction: float = 0.10,
+    min_volume_fraction: float = MIN_VOLUME_FRACTION,
     cutout_size=CUTOUT_SIZE,
 ) -> tuple[Volume, AssemblyReport]:
     """Run the full instance phase on a semantic mask.

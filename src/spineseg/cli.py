@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -50,7 +50,7 @@ class RunError(Exception):
     """Processing failed after valid arguments; exit code 1."""
 
 
-def _tuple_of(text: str, cast, n: int, flag: str):
+def _tuple_of(text: str, cast, flag: str, n: int = 3):
     parts = text.split(",")
     if len(parts) != n:
         raise UsageError(f"{flag} expects {n} comma-separated values, got {text!r}")
@@ -58,10 +58,6 @@ def _tuple_of(text: str, cast, n: int, flag: str):
         return tuple(cast(p) for p in parts)
     except ValueError:
         raise UsageError(f"{flag} could not parse {text!r}")
-
-
-def _triple(text: str, cast, flag: str):
-    return _tuple_of(text, cast, 3, flag)
 
 
 def _read_volume(path: str, what: str):
@@ -98,12 +94,12 @@ def cmd_phantom(args) -> int:
         seed = args.seed
         if seed is None:
             seed = int.from_bytes(os.urandom(4), "little")
-        fuse_pairs = tuple(_tuple_of(f, int, 2, "--fuse") for f in args.fuse or [])
+        fuse_pairs = tuple(_tuple_of(f, int, "--fuse", 2) for f in args.fuse or [])
         kwargs = dict(n_vertebrae=args.vertebrae, seed=seed, fuse_pairs=fuse_pairs)
         if args.dims:
-            kwargs["dims"] = _triple(args.dims, int, "--dims")
+            kwargs["dims"] = _tuple_of(args.dims, int, "--dims")
         if args.spacing:
-            kwargs["spacing"] = _triple(args.spacing, float, "--spacing")
+            kwargs["spacing"] = _tuple_of(args.spacing, float, "--spacing")
         try:
             spec = PhantomSpec(**kwargs)
         except ValueError as e:
@@ -205,7 +201,7 @@ def cmd_segment(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    patch = _triple(args.patch, int, "--patch")
+    patch = _tuple_of(args.patch, int, "--patch")
     try:
         tiling = TilingSpec(patch_size=patch, overlap=args.overlap, blend=args.blend)
     except ValueError as e:
@@ -213,7 +209,7 @@ def cmd_segment(args) -> int:
     if args.spacing == "keep":
         target = None
     else:
-        target = _triple(args.spacing, float, "--spacing")
+        target = _tuple_of(args.spacing, float, "--spacing")
     config = PipelineConfig(target_spacing=target, tiling=tiling)
 
     exchange = out / "exchange"
@@ -381,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phantom", help="generate a synthetic spine with ground truth")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--vertebrae", type=int, default=7)
+    p.add_argument("--vertebrae", type=int, default=PhantomSpec.n_vertebrae)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--fuse", action="append", metavar="K,K+1", help="fuse a vertebra pair; repeatable")
     p.add_argument("--dims", default=None, metavar="X,Y,Z")
@@ -402,15 +398,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantic", required=True, metavar="oracle:...|exec:...")
     p.add_argument("--instance", required=True, metavar="oracle:...|exec:...")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--patch", default="256,256,64")
-    p.add_argument("--overlap", type=float, default=0.5)
-    p.add_argument("--blend", choices=["gaussian", "uniform"], default="gaussian")
+    p.add_argument("--patch", default=",".join(str(n) for n in TilingSpec.patch_size))
+    p.add_argument("--overlap", type=float, default=TilingSpec.overlap)
+    p.add_argument("--blend", choices=["gaussian", "uniform"], default=TilingSpec.blend)
     p.add_argument(
         "--spacing",
         default=",".join(str(s) for s in DEFAULT_SPACING),
         help="target spacing in mm, or 'keep' to stay on the input grid",
     )
-    p.add_argument("--timeout", type=float, default=300.0)
+    timeout = inspect.signature(ExternalPredictor).parameters["timeout"].default
+    p.add_argument("--timeout", type=float, default=timeout)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("evaluate", help="compare predicted masks against references")

@@ -48,7 +48,8 @@ def merge_sources(src: AnnotationSources) -> Volume:
     """
     out = src.base.data.astype(np.uint16, copy=True)
     sub = src.substructures.data
-    out[(out == 0) & (sub > 0)] = sub[(out == 0) & (sub > 0)]
+    free = (out == 0) & (sub > 0)
+    out[free] = sub[free]
     cord = src.cord.data > 0
     out[cord & ((out == 0) | (out == Structure.SPINAL_CANAL))] = Structure.SPINAL_CORD
     return src.base.with_data(out, kind="semantic")

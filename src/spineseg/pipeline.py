@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import CUTOUT_SIZE, PredictorError, assemble, check_answer, predict_all
+from .assembly import CUTOUT_SIZE, MIN_VOLUME_FRACTION, PredictorError, assemble, check_answer, predict_all
 from .labels import Structure
 from .nifti import read_nifti, write_nifti
 from .postproc import enforce_consistency
@@ -278,7 +278,7 @@ ExternalSemanticPredictor = ExternalInstancePredictor = ExternalPredictor
 class PipelineConfig:
     target_spacing: tuple[float, float, float] | None = DEFAULT_SPACING
     tiling: TilingSpec = TilingSpec()
-    min_volume_fraction: float = 0.10
+    min_volume_fraction: float = MIN_VOLUME_FRACTION
     cutout_size: tuple[int, int, int] = CUTOUT_SIZE
 
     def to_dict(self) -> dict:

@@ -101,21 +101,22 @@ def enforce_consistency(semantic, instance):
     if not has_vertebra and relevant.any():
         # no vertebra instance will survive the zero-out step, so nothing
         # can anchor the instance-bearing semantics: demote them instead,
-        # then fill again so the demotion leaves no enclosed pockets
+        # then fill again so the demotion leaves no enclosed pockets; the
+        # refill adds only codes still present, so no voxel stays relevant
         report.demoted_semantic = int(relevant.sum())
         sem[relevant] = 0
         report.holes_filled += _fill_label_holes(sem)
+        relevant[:] = False
 
-    stray = (inst > 0) & ~_relevant_mask(sem)
+    stray = (inst > 0) & ~relevant
     report.zeroed = int(stray.sum())
     inst[stray] = 0
 
-    orphan = _relevant_mask(sem) & (inst == 0)
+    orphan = relevant & (inst == 0)
     if orphan.any():
         centroids = vertebra_centroids(sem, inst)
         comps = connected_components(orphan, connectivity=26)
-        for ci in range(1, comps.count + 1):
-            box = comps.bboxes[ci - 1]
+        for ci, box in enumerate(ndi.find_objects(comps.labels), start=1):
             box = tuple(
                 slice(max(0, b.start - 1), min(d, b.stop + 1))
                 for b, d in zip(box, orphan.shape)
@@ -127,8 +128,8 @@ def enforce_consistency(semantic, instance):
                 k, _ = vertebra_above(centroids, comps.centroids[ci - 1][1])
                 dominant = int(np.argmax(np.bincount(sem[box][comp])))
                 target = structure_instance_id(dominant, k)
-            sub = inst[box]
-            sub[comp & (sub == 0)] = target
+            # components are 26-separated, so no earlier one wrote into comp
+            inst[box][comp] = target
             report.orphans_assigned.append((int(comp.sum()), int(target)))
 
     sem_out = sem_vol.with_data(sem) if sem_vol is not None else sem

@@ -201,7 +201,6 @@ class ComponentSet:
     count: int
     sizes: np.ndarray
     centroids: list[tuple[float, float, float]]
-    bboxes: list[tuple[slice, slice, slice]]
 
 
 def _structuring_element(connectivity: int) -> np.ndarray:
@@ -219,8 +218,7 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentS
     labels, n = ndi.label(mask, structure=_structuring_element(connectivity))
     sizes, centroids = label_centroids(labels, n)
     centroids = [tuple(c) for c in centroids.tolist()]
-    bboxes = ndi.find_objects(labels)
-    return ComponentSet(labels=labels, count=n, sizes=sizes, centroids=centroids, bboxes=bboxes)
+    return ComponentSet(labels=labels, count=n, sizes=sizes, centroids=centroids)
 
 
 def label_centroids(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

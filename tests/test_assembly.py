@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
 from spineseg.assembly import (
     Cutout,
@@ -15,9 +16,10 @@ from spineseg.assembly import (
     find_corpus_centers,
     make_cutouts,
     reconcile,
+    vertebra_centroids,
     window_pair_dice,
 )
-from spineseg.labels import Structure
+from spineseg.labels import ENDPLATE_ID_BASE, IVD_ID_BASE, Structure
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, PhantomSpec, generate_phantom
 from spineseg.volume import Volume
 from conftest import bounding_box
@@ -374,6 +376,93 @@ class TestAssignDiscEndplate:
         out, flags = assign_disc_endplate_instances(make_volume(sem), inst)
         assert (out[4:8, 20:23, 2:6] == 101).all()
         assert flags == []
+
+
+def reference_vertebra_centroids(sem, inst):
+    """Per-id full-volume scans: the mean ``np.nonzero`` index of each
+    vertebra's corpus voxels, or of all its voxels when it has no corpus."""
+    out = {}
+    for vid in range(1, IVD_ID_BASE):
+        corpus = (inst == vid) & (sem == Structure.CORPUS)
+        mask = corpus if corpus.any() else inst == vid
+        if mask.any():
+            out[vid] = np.array([axis.mean() for axis in np.nonzero(mask)])
+    return out
+
+
+def reference_assign(sem, inst):
+    """``assign_disc_endplate_instances`` on arrays, one full-volume scan per
+    component; returns (instance, flags)."""
+    inst = inst.copy()
+    height = {v: c[1] for v, c in reference_vertebra_centroids(sem, inst).items()}
+    codes = ((Structure.IVD, IVD_ID_BASE), (Structure.ENDPLATE, ENDPLATE_ID_BASE))
+    if not height:
+        return inst, [
+            {"kind": "unassigned", "reason": "no vertebra instances", "code": int(code)}
+            for code, _ in codes
+            if (sem == code).any()
+        ]
+    flags = []
+    for code, base in codes:
+        labels, n = ndi.label(sem == code, structure=np.ones((3, 3, 3), dtype=bool))
+        for ci in range(1, n + 1):
+            comp = labels == ci
+            y = np.nonzero(comp)[1].mean()
+            above = [v for v in height if height[v] < y]
+            if above:
+                k = min(above, key=lambda v: (y - height[v], v))
+            else:
+                k = min(height, key=lambda v: (height[v], v))
+                flags.append({"kind": "no_vertebra_above", "code": int(code), "assigned_to": k})
+            inst[comp & (inst == 0)] = base + k
+    return inst, flags
+
+
+def random_boxes(rng, out, values, n):
+    for _ in range(n):
+        lo = [int(rng.integers(0, s - 1)) for s in out.shape]
+        hi = [l + int(rng.integers(1, 7)) for l in lo]
+        out[tuple(slice(a, b) for a, b in zip(lo, hi))] = rng.choice(values)
+    return out
+
+
+class TestVertebraCentroids:
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.uint16, np.int64])
+    def test_matches_per_id_means_bitwise(self, dtype):
+        rng = np.random.default_rng(11)
+        # vertebra ids up to 99 next to ids of 100 and above
+        ids = [i for i in (1, 2, 5, 17, 98, 99, 100, 101, 127, 199, 201, 255, 299)
+               if i <= np.iinfo(dtype).max]
+        for _ in range(25):
+            shape = tuple(int(s) for s in rng.integers(4, 14, size=3))
+            present = rng.choice(ids, size=int(rng.integers(1, len(ids))), replace=False)
+            inst = np.where(rng.random(shape) < 0.6, rng.choice(present, size=shape), 0).astype(dtype)
+            sem = rng.integers(0, len(Structure), size=shape).astype(np.uint16)
+            # some vertebrae have no corpus voxel and fall back to all voxels
+            no_corpus = np.isin(inst, rng.choice(present, size=2)) & (sem == Structure.CORPUS)
+            sem[no_corpus] = Structure.ARCUS
+            got = vertebra_centroids(sem, inst)
+            want = reference_vertebra_centroids(sem, inst)
+            assert list(got) == list(want)
+            for vid, centroid in want.items():
+                assert got[vid].tobytes() == centroid.tobytes(), vid
+
+
+class TestAssignAgainstReference:
+    def test_random_layouts(self):
+        rng = np.random.default_rng(4)
+        sem_codes = [Structure.CORPUS, Structure.ARCUS, Structure.IVD, Structure.ENDPLATE,
+                     Structure.SPINAL_CANAL]
+        for _ in range(60):
+            shape = (14, 40, 10)
+            sem = random_boxes(rng, np.zeros(shape, np.uint16), sem_codes, int(rng.integers(3, 14)))
+            inst = random_boxes(rng, np.zeros(shape, np.uint16), [1, 2, 3, 7, 99, 102, 203],
+                                int(rng.integers(0, 9)))
+            got, got_flags = assign_disc_endplate_instances(make_volume(sem), inst)
+            want, want_flags = reference_assign(sem, inst)
+            assert got.dtype == inst.dtype
+            assert np.array_equal(got, want)
+            assert got_flags == want_flags
 
 
 class TestAssembleEndToEnd:

@@ -11,6 +11,7 @@ from spineseg.cli import main
 from spineseg.labels import Structure
 from spineseg.nifti import read_nifti, write_nifti
 from spineseg.phantom import NoiseSpec, PhantomSpec
+from spineseg.pipeline import PipelineConfig
 from spineseg.volume import Volume
 
 
@@ -247,6 +248,18 @@ class TestSegment:
         assert set(report["timings_s"]) == {"prepare", "semantic", "instance", "consistency"}
         assert report["processing_dims"] == [160, 192, 32]
         assert len(report["assembly"]["groups"]) == 4
+
+    def test_default_flags_record_the_default_config(self, phantom_dir, tmp_path):
+        out = tmp_path / "seg"
+        inputs = {
+            "input": str(phantom_dir / "intensity.nii.gz"),
+            "semantic": f"oracle:{phantom_dir / 'semantic.nii.gz'}",
+            "instance": f"oracle:{phantom_dir / 'instance.nii.gz'}",
+        }
+        args = [f"--{k}={v}" for k, v in inputs.items()]
+        assert run_cli("segment", *args, "--out-dir", out) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert config == {**inputs, **json.loads(json.dumps(PipelineConfig().to_dict()))}
 
     def test_noise_spec_attaches_to_oracle(self, phantom_dir, tmp_path):
         noise = tmp_path / "noise.json"

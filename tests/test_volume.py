@@ -273,7 +273,6 @@ class TestConnectedComponents:
         assert list(cs.sizes) == [2, 1]
         assert cs.centroids[0] == (0.5, 0.0, 0.0)
         assert cs.centroids[1] == (3.0, 3.0, 3.0)
-        assert cs.bboxes[0] == (slice(0, 2), slice(0, 1), slice(0, 1))
 
     def test_centroids_equal_index_means_exactly(self):
         # a full-size grid makes the coordinate sums large
