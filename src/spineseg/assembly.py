@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import ndimage as ndi
 
-from .labels import VERTEBRA_ID_MAX, Structure, is_vertebra_id, structure_instance_id
+from .labels import VERTEBRA_ID_MAX, Structure, is_vertebra_id, structure_instance_id, writable_instances
 from .volume import Volume, connected_components, label_centroids, overlap, window_view
 
 CUTOUT_SIZE = (248, 304, 64)
@@ -291,9 +291,10 @@ def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndar
     (endplate) id of vertebra k on its voxels not yet claimed, where k is
     the vertebra that ``vertebra_above`` picks for the component's
     centroid. A component with no vertebra above is keyed to the topmost
-    vertebra and flagged.
+    vertebra and flagged. The ids go into a copy of ``vertebra_instances``,
+    widened when its dtype cannot hold them.
     """
-    inst = vertebra_instances.copy()
+    inst = writable_instances(vertebra_instances)
     centroids = vertebra_centroids(semantic.data, inst)
     flags = []
     if not centroids:

@@ -16,6 +16,8 @@ import json
 from enum import IntEnum
 from pathlib import Path
 
+import numpy as np
+
 
 class Structure(IntEnum):
     BACKGROUND = 0
@@ -38,6 +40,7 @@ class Structure(IntEnum):
 IVD_ID_BASE = 100
 ENDPLATE_ID_BASE = 200
 VERTEBRA_ID_MAX = IVD_ID_BASE - 1
+INSTANCE_ID_MAX = ENDPLATE_ID_BASE + VERTEBRA_ID_MAX
 LABEL_MAX = 65535  # the largest label a mask file stores (unsigned 16-bit)
 
 _KIND_BY_CODE = {
@@ -70,6 +73,15 @@ def endplate_id(order_index: int) -> int:
 def is_vertebra_id(ids):
     """True where an instance id names a vertebra (1-99); scalars or arrays."""
     return (ids >= 1) & (ids <= VERTEBRA_ID_MAX)
+
+
+def writable_instances(ids) -> np.ndarray:
+    """A copy of an instance-id array that can take every instance id: in
+    its own dtype when that holds ``INSTANCE_ID_MAX``, else widened."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind in "iu" and np.iinfo(ids.dtype).max >= INSTANCE_ID_MAX:
+        return ids.copy()
+    return ids.astype(np.promote_types(ids.dtype, np.min_scalar_type(INSTANCE_ID_MAX)))
 
 
 def structure_instance_id(code: int, order_index):

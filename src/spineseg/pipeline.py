@@ -9,6 +9,8 @@ files, so any model framework can plug in without being imported here.
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
 import shlex
 import subprocess
@@ -18,7 +20,7 @@ import uuid
 from collections import deque
 from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field
-from itertools import tee
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +79,79 @@ def _blend_window(shape, blend: str) -> np.ndarray:
     return w
 
 
-def _accumulate(scores, sl, w, out):
-    view = scores[(slice(None), *sl)]
+def _accumulate(scores, w, out):
+    """Add one answer, blended by ``w``, to the class-first ``scores``."""
     if out.ndim == 3:
         # only the labeled class gains; the others would add 0.0, a no-op
-        view[(out, *np.indices(out.shape, sparse=True))] += w
+        scores[(out, *np.indices(out.shape, sparse=True))] += w
     else:
-        view += w * out
+        scores += w * out
+
+
+def _argmax_into(labels, scores):
+    """Write the argmax over classes of ``scores`` into ``labels``; ties go to
+    the smaller class code."""
+    # np.argmax(scores, axis=0) copies the buffer; strict > keeps ties on the smaller code
+    best = scores[0].copy()
+    for code in range(1, N_CLASSES):
+        labels[scores[code] > best] = code
+        np.maximum(best, scores[code], out=best)
+
+
+def _shared(items, n: int):
+    """``n`` iterators that each yield every item of ``items``, which is
+    consumed once. An item is dropped as soon as every iterator has taken
+    it, so iterators kept in step hold only a few items alive."""
+    items = iter(items)
+    held = deque()  # items the furthest iterator has taken and the slowest has not
+    taken = [0] * n  # items taken, per iterator
+
+    def stream(k):
+        while True:
+            i = taken[k] - min(taken)
+            if i == len(held):
+                try:
+                    held.append(next(items))
+                except StopIteration:
+                    return
+            item = held[i]
+            taken[k] += 1
+            if len(held) > max(taken) - min(taken):
+                held.popleft()
+            yield item
+
+    return [stream(k) for k in range(n)]
+
+
+def _unbacked_zeros(shape) -> np.ndarray:
+    """float32 zeros in a private anonymous mapping of their own.
+
+    A page takes memory only once written: reads of the others map the
+    kernel's zero page, so the planes of classes no answer gives in a
+    cell cost nothing. ``np.zeros`` of a cell-sized array may instead be
+    cleared heap memory, resident in full, and a shared mapping backs
+    every page read. The pages go back to the system when the array is
+    freed."""
+    buf = mmap.mmap(-1, 4 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=np.float32).reshape(shape)
+
+
+def _box(origin, shape) -> tuple[slice, ...]:
+    return tuple(slice(o, o + s) for o, s in zip(origin, shape))
+
+
+def _patch_cells(origins, shape) -> list[list[tuple]]:
+    """The cells each patch covers, as ``(origin, shape)`` pairs.
+
+    The grid is cut at every patch start and stop on each axis, so a cell
+    lies wholly inside or wholly outside each patch."""
+    cuts = [sorted({o[a] + k * shape[a] for o in origins for k in (0, 1)}) for a in range(3)]
+
+    def spans(a, start):
+        inside = [c for c in cuts[a] if start <= c <= start + shape[a]]
+        return [(lo, hi - lo) for lo, hi in zip(inside, inside[1:])]
+
+    return [[tuple(zip(*spans3)) for spans3 in product(*(spans(a, o[a]) for a in range(3)))] for o in origins]
 
 
 def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), return_scores: bool = False):
@@ -97,43 +165,61 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
     floats are accepted) or finite per-class scores of shape
     ``(15,) + patch.dims``. Any other answer raises ``PredictorError``
     (see ``assembly.check_answer``). Argmax ties resolve to the smaller
-    class code. Tiling holds one class-first float32 score buffer, and the
-    argmax adds one running-maximum plane and the label plane.
+    class code.
+
+    The grid is cut into cells, the boxes between consecutive patch
+    starts and stops on each axis, so every patch covers whole cells.
+    Each cell gets a class-first float32 score buffer of its own size
+    (``_unbacked_zeros``) when its first patch answers, and is argmaxed
+    into the labels and freed once its last patch has been added. Each
+    voxel sees the same float32 additions in the same order, patch by
+    patch and member by member, as one full-grid buffer would. With
+    ``return_scores`` the cells are views of one full ``(15,) + dims``
+    buffer.
     """
     predictors = list(predictor) if isinstance(predictor, (list, tuple)) else [predictor]
     if not predictors:
         raise ValueError("need at least one predictor")
     dims = vol.dims
-    scores = np.zeros((N_CLASSES,) + dims, dtype=np.float32)
-    weights = np.zeros(dims, dtype=np.float32) if return_scores else None
     origins = tile_volume(dims, spec)
-    slices = [
-        tuple(slice(o, min(o + p, d)) for o, p, d in zip(origin, spec.patch_size, dims))
-        for origin in origins
-    ]
+    # every origin is at most dim - patch, so all patches share one shape
+    shape = tuple(min(p, d) for p, d in zip(spec.patch_size, dims))
+    w = _blend_window(shape, spec.blend)
+    patch_cells = _patch_cells(origins, shape)
+    last = {cell: i for i, cells in enumerate(patch_cells) for cell in cells}
+    labels = np.zeros(dims, dtype=np.uint16)
+    if return_scores:
+        scores = np.zeros((N_CLASSES,) + dims, dtype=np.float32)
+        weights = np.zeros(dims, dtype=np.float32)
+    open_cells = {}
     # each patch is cut once, lazily, and shared by all members
     patches = (
-        Volume(np.ascontiguousarray(vol.data[sl]), vol.spacing, vol.orientation, vol.kind)
-        for sl in slices
+        Volume(np.ascontiguousarray(vol.data[_box(origin, shape)]), vol.spacing, vol.orientation, vol.kind)
+        for origin in origins
     )
     with ExitStack() as stack:
         streams = [
             stack.enter_context(closing(predict_all(p, each, origins)))
-            for p, each in zip(predictors, tee(patches, len(predictors)))
+            for p, each in zip(predictors, _shared(patches, len(predictors)))
         ]
         # patch by patch, member by member: the accumulation order is fixed
-        for sl, *answers in zip(slices, *streams, strict=True):
-            w = _blend_window(tuple(s.stop - s.start for s in sl), spec.blend)
+        for i, (origin, *answers) in enumerate(zip(origins, *streams, strict=True)):
+            for cell in patch_cells[i]:
+                if cell not in open_cells:
+                    open_cells[cell] = (
+                        scores[(slice(None), *_box(*cell))] if return_scores
+                        else _unbacked_zeros((N_CLASSES,) + cell[1])
+                    )
             for answer in answers:
-                _accumulate(scores, sl, w, check_answer(answer, w.shape, N_CLASSES, scores_ok=True))
+                out = check_answer(answer, shape, N_CLASSES, scores_ok=True)
+                for cell in patch_cells[i]:
+                    local = _box([c - o for c, o in zip(cell[0], origin)], cell[1])
+                    _accumulate(open_cells[cell], w[local], out[(..., *local)])
                 if return_scores:
-                    weights[sl] += w
-    # np.argmax(scores, axis=0) copies the buffer; strict > keeps ties on the smaller code
-    best = scores[0].copy()
-    labels = np.zeros(dims, dtype=np.uint16)
-    for code in range(1, N_CLASSES):
-        labels[scores[code] > best] = code
-        np.maximum(best, scores[code], out=best)
+                    weights[_box(origin, shape)] += w
+            for cell in patch_cells[i]:
+                if last[cell] == i:
+                    _argmax_into(labels[_box(*cell)], open_cells.pop(cell))
     semantic = Volume(labels, vol.spacing, vol.orientation, "semantic")
     if return_scores:
         return semantic, scores / weights

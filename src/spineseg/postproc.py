@@ -16,7 +16,7 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .assembly import vertebra_above, vertebra_centroids
-from .labels import instance_relevant_codes, is_vertebra_id, structure_instance_id
+from .labels import instance_relevant_codes, is_vertebra_id, structure_instance_id, writable_instances
 from .volume import Volume, as_array, check_same_grid, connected_components, fill_holes
 
 _RELEVANT = sorted(instance_relevant_codes())
@@ -84,13 +84,14 @@ def enforce_consistency(semantic, instance):
     """Make the two masks consistent; returns (semantic, instance, report).
 
     Inputs are not modified. Works on Volumes or plain arrays; Volume
-    inputs come back as Volumes on the same grid.
+    inputs come back as Volumes on the same grid. An instance dtype that
+    cannot hold every instance id (int8, uint8) comes back widened.
     """
     check_same_grid(semantic, instance)
     sem_vol = semantic if isinstance(semantic, Volume) else None
     inst_vol = instance if isinstance(instance, Volume) else None
     sem = as_array(semantic).copy()
-    inst = as_array(instance).copy()
+    inst = writable_instances(as_array(instance))
     report = ConsistencyReport()
 
     report.holes_filled += _fill_label_holes(sem)

@@ -145,6 +145,22 @@ def _nearest_indices(coords: np.ndarray, size: int) -> np.ndarray:
     return np.clip(idx, 0, size - 1)
 
 
+def _linear_pass(data: np.ndarray, coords: np.ndarray, axis: int) -> np.ndarray:
+    """1-D linear interpolation of float64 ``data`` along ``axis`` at the
+    fractional indices ``coords``, clipped to the axis as
+    ``map_coordinates(..., mode="nearest")`` does."""
+    size = data.shape[axis]
+    coords = np.clip(coords, 0, size - 1)
+    lo = np.floor(coords).astype(np.intp)
+    frac = (coords - lo).reshape([-1 if a == axis else 1 for a in range(data.ndim)])
+    out = np.take(data, lo, axis=axis)
+    out *= 1.0 - frac
+    upper = np.take(data, np.minimum(lo + 1, size - 1), axis=axis)
+    upper *= frac
+    out += upper
+    return out
+
+
 def resample(vol: Volume, new_spacing: Sequence[float], mode: str = "nearest") -> Volume:
     """Resample onto a grid with ``new_spacing``, preserving physical extent.
 
@@ -152,6 +168,9 @@ def resample(vol: Volume, new_spacing: Sequence[float], mode: str = "nearest") -
     covers [i*s, (i+1)*s) along each axis, with its center at (i+0.5)*s.
     Output dims are round(dims*spacing/new_spacing), at least 1. Label
     volumes only accept nearest mode so no new label values can appear.
+    Trilinear mode is separable: one float64 linear pass per axis whose
+    grid changes, shrinking axes first, with edge voxels repeated beyond
+    the volume.
     """
     new_spacing = tuple(float(s) for s in new_spacing)
     if len(new_spacing) != 3 or any(s <= 0 for s in new_spacing):
@@ -182,10 +201,11 @@ def resample(vol: Volume, new_spacing: Sequence[float], mode: str = "nearest") -
         kk = _nearest_indices(axis_coords[2], old_dims[2])
         data = vol.data[np.ix_(ii, jj, kk)]
     else:
-        grid = np.meshgrid(*axis_coords, indexing="ij")
-        data = ndi.map_coordinates(
-            vol.data.astype(np.float64), np.stack(grid), order=1, mode="nearest"
-        )
+        data = vol.data.astype(np.float64, copy=False)
+        for axis in sorted(range(3), key=lambda a: new_dims[a] / old_dims[a]):
+            # an axis sampled at its own voxel centers would be copied unchanged
+            if not np.array_equal(axis_coords[axis], np.arange(old_dims[axis])):
+                data = _linear_pass(data, axis_coords[axis], axis)
     return Volume(np.ascontiguousarray(data), new_spacing, vol.orientation, vol.kind)
 
 

@@ -330,6 +330,16 @@ class TestAssignDiscEndplate:
         assert not out.any()
         assert flags and flags[0]["kind"] == "unassigned"
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+    def test_narrow_instance_dtype_is_widened(self, dtype):
+        sem, inst = self.build()
+        sem[4:8, 14:17, 2:6] = Structure.IVD
+        sem[4:8, 13, 2:6] = Structure.ENDPLATE
+        out, _ = assign_disc_endplate_instances(make_volume(sem), inst.astype(dtype))
+        want, _ = assign_disc_endplate_instances(make_volume(sem), inst)
+        assert np.iinfo(out.dtype).max >= 299
+        assert np.array_equal(out, want)
+
     def test_existing_instances_are_never_overwritten(self):
         sem, inst = self.build()
         sem[4:8, 14:17, 2:6] = Structure.IVD

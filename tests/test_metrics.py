@@ -1,6 +1,7 @@
 """Metric implementations against brute-force oracles and hand fixtures."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -21,8 +22,9 @@ from spineseg.metrics import (
     semantic_report,
     surface_mask,
     wilcoxon_signed_rank,
+    _label_pairs,
 )
-from spineseg.labels import Structure, classify_instance_id
+from spineseg.labels import LABEL_MAX, Structure, classify_instance_id
 from spineseg.volume import Volume
 
 
@@ -538,6 +540,19 @@ class TestLabelPairTable:
                 matched += m.tp
                 ties += sum(v == 0.5 for _, _, v in m.pairs)
         assert matched > 100 and ties > 5  # the cases exercise the matching and its 0.5 bound
+
+    def test_pair_counts_in_ascending_pair_order(self):
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            shape = tuple(int(n) for n in rng.integers(0, 9, size=3))
+            highs = [int(rng.choice([1, 2, 15, 300, LABEL_MAX + 1])) for _ in range(2)]
+            lp, lr = (rng.integers(0, h, size=shape, dtype=np.int64) for h in highs)
+            if trial % 5 == 0:
+                lp[...] = LABEL_MAX if trial % 10 else 0
+            want = sorted(Counter(zip(lp.ravel().tolist(), lr.ravel().tolist())).items())
+            got = _label_pairs(lp, lr)
+            assert list(got.items()) == want, trial
+            assert all(type(v) is int for pair, n in got.items() for v in (*pair, n))
 
     @pytest.mark.parametrize("bad_id", [100, 300])
     def test_ids_outside_every_family_still_raise(self, bad_id):

@@ -6,12 +6,14 @@ import os
 import textwrap
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spineseg
+import spineseg.pipeline as pipeline
 from spineseg.assembly import assemble, check_answer
 from spineseg.labels import Structure
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, OracleSemanticPredictor
@@ -24,6 +26,7 @@ from spineseg.pipeline import (
     TilingSpec,
     _axis_positions,
     _blend_window,
+    _shared,
     predict_semantic,
     run_pipeline,
     tile_volume,
@@ -372,6 +375,58 @@ class TestTilingAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * buffer, (peak, buffer)
+
+    def test_label_tiling_holds_a_few_cells(self, monkeypatch):
+        # tracemalloc sees no mapped memory: give the cells traced buffers
+        monkeypatch.setattr(pipeline, "_unbacked_zeros", lambda shape: np.zeros(shape, dtype=np.float32))
+        # seven patches along axis 1 cut the grid into eight cells
+        dims = (32, 192, 16)
+        vol = make_volume(np.zeros(dims), kind="intensity")
+        spec = TilingSpec(patch_size=(32, 48, 16), overlap=0.5)
+        predictor = RandomAnswers(5, "uint8")
+        buffer = 15 * np.prod(dims) * 4
+        want, _, _ = reference_predict_semantic(vol, [predictor], spec)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = predict_semantic(vol, predictor, spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert same_bits(got.data, want)
+        assert peak < 0.5 * buffer, (peak, buffer)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    def test_cut_patches_are_dropped_once_every_member_has_them(self, members):
+        vol = make_volume(np.zeros((4, 96, 4)), kind="intensity")
+        spec = TilingSpec(patch_size=(4, 8, 4), overlap=0.5)
+        seen, alive = [], []
+
+        class Counting:
+            def predict(self, patch, origin):
+                seen.append(weakref.ref(patch))
+                alive.append(len({id(p) for p in (ref() for ref in seen) if p is not None}))
+                return np.zeros(patch.dims, dtype=np.uint8)
+
+        predict_semantic(vol, [Counting() for _ in range(members)], spec)
+        assert len(seen) == 23 * members
+        assert max(alive) <= 2, alive
+
+    def test_shared_streams_give_every_item_once_in_any_interleaving(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(0, 10))
+            made = []
+            streams = _shared((made.append(x) or x for x in range(m)), n)
+            got, live = [[] for _ in range(n)], list(range(n))
+            while live:
+                k = live[int(rng.integers(len(live)))]
+                item = next(streams[k], None)
+                if item is None:
+                    live.remove(k)
+                else:
+                    got[k].append(item)
+            assert made == list(range(m)) and got == [made] * n
 
 
 def write_script(tmp_path, name, body):

@@ -151,6 +151,20 @@ class TestEnforceConsistency:
         assert report.orphans_assigned == []
         assert report.demoted_semantic == 0
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+    def test_narrow_instance_dtype_is_widened(self, dtype):
+        # one vertebra and an endplate slab it does not touch: the slab
+        # becomes an orphan keyed to the vertebra, endplate id 201
+        sem = np.zeros((8, 20, 8), dtype=np.uint16)
+        sem[2:6, 2:6, 2:6] = Structure.CORPUS
+        sem[2:6, 12:14, 2:6] = Structure.ENDPLATE
+        inst = np.where(sem == Structure.CORPUS, 1, 0).astype(dtype)
+        _, inst2, report = enforce_consistency(sem, inst)
+        assert np.iinfo(inst2.dtype).max >= 299
+        assert (inst2[2:6, 12:14, 2:6] == endplate_id(1)).all()
+        assert report.orphans_assigned == [(32, endplate_id(1))]
+        assert inst.dtype == dtype and inst.max() == 1  # the input is untouched
+
     def test_semantic_hole_is_filled(self):
         sem = np.zeros((8, 8, 8), dtype=np.uint16)
         sem[1:6, 1:6, 1:6] = Structure.SPINAL_CANAL

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
 from spineseg.nifti import read_nifti, write_nifti
 from spineseg.volume import (
@@ -193,6 +194,47 @@ class TestResample:
         vol = Volume(np.zeros((10, 20, 30)), (1.5, 0.5, 1.0))
         out = resample(vol, (1.0, 1.0, 1.0))
         assert out.dims == (15, 10, 30)
+
+    def test_trilinear_matches_map_coordinates(self):
+        rng = np.random.default_rng(23)
+        axes_seen = set()
+        for trial in range(80):
+            dims = tuple(int(n) for n in rng.integers(1, 10, size=3))
+            spacing = tuple(float(x) for x in rng.uniform(0.4, 3.0, size=3))
+            # scale each axis up, down or not at all
+            new_spacing = tuple(s * float(rng.choice([0.37, 0.5, 1.0, 1.9, 3.0])) for s in spacing)
+            if np.allclose(new_spacing, spacing):
+                continue
+            # edge voxels far from the rest, so a wrong clip at the faces shows
+            data = rng.normal(size=dims) + 100.0 * (np.indices(dims).sum(axis=0) == 0)
+            vol = Volume(data.astype(np.float32), spacing)
+            got = resample(vol, new_spacing, mode="trilinear")
+            want = reference_trilinear(vol.data, spacing, new_spacing)
+            assert got.data.dtype == np.float64, trial
+            assert got.dims == want.shape, trial
+            assert np.abs(got.data - want).max() <= 1e-12, trial
+            axes_seen.update(np.sign(np.subtract(got.dims, dims)).tolist())
+        assert axes_seen == {-1, 0, 1}
+
+    def test_trilinear_weights_along_the_one_changed_axis(self):
+        data = np.random.default_rng(2).normal(size=(5, 6, 7))
+        out = resample(Volume(data, (1.0, 2.0, 1.0)), (1.0, 1.0, 1.0), mode="trilinear")
+        assert out.dims == (5, 12, 7)
+        # output row 2m + 1 sits a quarter voxel past source row m
+        assert np.array_equal(out.data[:, 1:-1:2], data[:, :-1] * 0.75 + data[:, 1:] * 0.25)
+        assert np.array_equal(out.data[:, 0], data[:, 0])
+
+
+def reference_trilinear(data, spacing, new_spacing):
+    """Trilinear resampling by ``map_coordinates`` on a full coordinate grid."""
+    new_dims = tuple(
+        max(1, int(round(d * s / ns))) for d, s, ns in zip(data.shape, spacing, new_spacing)
+    )
+    axis_coords = [
+        ((np.arange(nd) + 0.5) * ns) / s - 0.5 for nd, ns, s in zip(new_dims, new_spacing, spacing)
+    ]
+    grid = np.meshgrid(*axis_coords, indexing="ij")
+    return ndi.map_coordinates(data.astype(np.float64), np.stack(grid), order=1, mode="nearest")
 
 
 def oracle_components(mask, connectivity):
