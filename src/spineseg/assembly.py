@@ -11,8 +11,9 @@ with ids keyed to the nearest vertebra above.
 
 from __future__ import annotations
 
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import ndimage as ndi
@@ -67,12 +68,27 @@ def check_answer(answer, shape, n_labels: int, scores_ok: bool = False) -> np.nd
     return out if out.dtype.kind in "iu" else out.astype(np.uint16)
 
 
-def predict_all(predictor, volumes, wheres):
-    """The answers for paired ``volumes`` and ``wheres`` in input order, from
-    ``predictor.predict_many`` if it has one, else one lazy ``predict`` per
-    input. Close the stream when done, so an early exit stops running calls."""
-    many = getattr(predictor, "predict_many", None)
-    yield from many(volumes, wheres) if many is not None else map(predictor.predict, volumes, wheres)
+def answers(predictors, cut, wheres, shape, n_labels: int, scores_ok: bool = False):
+    """Every member's checked answer for each item of the sequence ``wheres``.
+
+    Yields one tuple per ``where``, one ``check_answer``-ed answer per
+    member of ``predictors``. Each member gets its own input
+    ``cut(where)``, made lazily, so no member sees another's edits. A
+    member with ``predict_many(volumes, wheres)`` streams through it; any
+    other gets one ``predict(volume, where)`` per input. Closing the
+    generator closes every member's stream, so an early exit stops running
+    calls. Both phases call their models only through here.
+    """
+    with ExitStack() as stack:
+        streams = []
+        for p in predictors:
+            many = getattr(p, "predict_many", None)
+            if many is None:
+                streams.append(map(p.predict, map(cut, wheres), wheres))
+            else:
+                streams.append(stack.enter_context(closing(many(map(cut, wheres), wheres))))
+        for _, *outs in zip(wheres, *streams, strict=True):
+            yield tuple(check_answer(out, shape, n_labels, scores_ok) for out in outs)
 
 
 @dataclass(frozen=True)
@@ -339,11 +355,11 @@ def assemble(
 ) -> tuple[Volume, AssemblyReport]:
     """Run the full instance phase on a semantic mask.
 
-    The predictor is called once per cutout with the semantic window (a
-    Volume) and the Cutout record, and must answer with an integral label
-    array of the window's shape with values in {0, 1, 2, 3} (integral
-    floats are accepted). Any other answer, scores included, raises
-    ``PredictorError`` (see ``check_answer``).
+    The predictor is called through ``answers``, once per cutout, with a
+    copy of the semantic window (a Volume) and the Cutout record, and must
+    answer with an integral label array of the window's shape with values
+    in {0, 1, 2, 3} (integral floats are accepted). Any other answer,
+    scores included, raises ``PredictorError`` (see ``check_answer``).
     """
     report = AssemblyReport()
     centers = find_corpus_centers(semantic, min_volume_fraction)
@@ -367,11 +383,9 @@ def assemble(
         }
         for c in cutouts
     ]
-    windows = (cutout_window(semantic, c) for c in cutouts)
-    with closing(predict_all(predictor, windows, cutouts)) as answers:
-        predictions = [
-            check_answer(a, c.size, LABEL_BELOW + 1) for c, a in zip(cutouts, answers, strict=True)
-        ]
+    cut = partial(cutout_window, semantic)
+    with closing(answers([predictor], cut, cutouts, cutout_size, LABEL_BELOW + 1)) as stream:
+        predictions = [out for (out,) in stream]
 
     groups = collect_groups(cutouts, predictions)
     report.groups = [

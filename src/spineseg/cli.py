@@ -40,6 +40,7 @@ from .pipeline import (
     TilingSpec,
     run_pipeline,
 )
+from .volume import checked_spacing
 
 
 class UsageError(Exception):
@@ -209,7 +210,10 @@ def cmd_segment(args) -> int:
     if args.spacing == "keep":
         target = None
     else:
-        target = _tuple_of(args.spacing, float, "--spacing")
+        try:
+            target = checked_spacing(_tuple_of(args.spacing, float, "--spacing"), "--spacing")
+        except ValueError as e:
+            raise UsageError(str(e))
     config = PipelineConfig(target_spacing=target, tiling=tiling)
 
     exchange = out / "exchange"

@@ -297,6 +297,9 @@ def wilcoxon_signed_rank(x, y, exact_limit: int = 25) -> WilcoxonResult:
     if x.size == 0:
         raise ValueError("need at least one pair")
     diff = x - y
+    # a NaN difference is neither positive nor negative and would vanish from both sums
+    if not np.isfinite(diff).all():
+        raise ValueError("paired samples and their differences must be finite")
     diff = diff[diff != 0.0]
     n = diff.size
     if n == 0:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .labels import LABEL_MAX
-from .volume import AXIS_CODES, Volume, validate_orientation
+from .volume import AXIS_CODES, Volume, checked_spacing, validate_orientation
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
@@ -140,9 +140,11 @@ def read_nifti(path, kind: str | None = None) -> Volume:
             affine3 = np.diag(diag)
 
         orientation = _affine_to_codes(affine3)
-        spacing = tuple(float(np.linalg.norm(affine3[:, j])) for j in range(3))
-        if any(s <= 0 for s in spacing):
-            raise NiftiError(f"{path.name}: non-positive voxel spacing {spacing}")
+        norms = [float(np.linalg.norm(affine3[:, j])) for j in range(3)]
+        try:
+            spacing = checked_spacing(norms, "voxel spacing")
+        except ValueError as e:
+            raise NiftiError(f"{path.name}: {e}")
 
         offset = int(vox_offset) if vox_offset >= HEADER_SIZE else HEADER_SIZE
         skip = offset - HEADER_SIZE

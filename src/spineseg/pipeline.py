@@ -18,14 +18,14 @@ import tempfile
 import time
 import uuid
 from collections import deque
-from contextlib import ExitStack, closing
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import CUTOUT_SIZE, MIN_VOLUME_FRACTION, PredictorError, assemble, check_answer, predict_all
+from .assembly import CUTOUT_SIZE, MIN_VOLUME_FRACTION, PredictorError, answers, assemble
 from .labels import Structure
 from .nifti import read_nifti, write_nifti
 from .postproc import enforce_consistency
@@ -98,31 +98,6 @@ def _argmax_into(labels, scores):
         np.maximum(best, scores[code], out=best)
 
 
-def _shared(items, n: int):
-    """``n`` iterators that each yield every item of ``items``, which is
-    consumed once. An item is dropped as soon as every iterator has taken
-    it, so iterators kept in step hold only a few items alive."""
-    items = iter(items)
-    held = deque()  # items the furthest iterator has taken and the slowest has not
-    taken = [0] * n  # items taken, per iterator
-
-    def stream(k):
-        while True:
-            i = taken[k] - min(taken)
-            if i == len(held):
-                try:
-                    held.append(next(items))
-                except StopIteration:
-                    return
-            item = held[i]
-            taken[k] += 1
-            if len(held) > max(taken) - min(taken):
-                held.popleft()
-            yield item
-
-    return [stream(k) for k in range(n)]
-
-
 def _unbacked_zeros(shape) -> np.ndarray:
     """float32 zeros in a private anonymous mapping of their own.
 
@@ -159,13 +134,13 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
 
     ``predictor`` is one object or a sequence (an ensemble; their scores
     are averaged, which for identical members equals any single one).
-    Each must provide ``predict(patch: Volume, origin) -> array`` (and
-    may provide ``predict_many``, see ``assembly.predict_all``) where the
-    array is either an integral label patch with values 0..14 (integral
-    floats are accepted) or finite per-class scores of shape
-    ``(15,) + patch.dims``. Any other answer raises ``PredictorError``
-    (see ``assembly.check_answer``). Argmax ties resolve to the smaller
-    class code.
+    Each is called through ``assembly.answers``: it must provide
+    ``predict(patch: Volume, origin) -> array`` or ``predict_many``, and
+    gets a copy of each patch of its own. The array is either an integral
+    label patch with values 0..14 (integral floats are accepted) or finite
+    per-class scores of shape ``(15,) + patch.dims``. Any other answer
+    raises ``PredictorError`` (see ``assembly.check_answer``). Argmax ties
+    resolve to the smaller class code.
 
     The grid is cut into cells, the boxes between consecutive patch
     starts and stops on each axis, so every patch covers whole cells.
@@ -192,26 +167,20 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
         scores = np.zeros((N_CLASSES,) + dims, dtype=np.float32)
         weights = np.zeros(dims, dtype=np.float32)
     open_cells = {}
-    # each patch is cut once, lazily, and shared by all members
-    patches = (
-        Volume(np.ascontiguousarray(vol.data[_box(origin, shape)]), vol.spacing, vol.orientation, vol.kind)
-        for origin in origins
-    )
-    with ExitStack() as stack:
-        streams = [
-            stack.enter_context(closing(predict_all(p, each, origins)))
-            for p, each in zip(predictors, _shared(patches, len(predictors)))
-        ]
+
+    def cut(origin):
+        return vol.with_data(vol.data[_box(origin, shape)].copy())
+
+    with closing(answers(predictors, cut, origins, shape, N_CLASSES, scores_ok=True)) as stream:
         # patch by patch, member by member: the accumulation order is fixed
-        for i, (origin, *answers) in enumerate(zip(origins, *streams, strict=True)):
+        for i, (origin, outs) in enumerate(zip(origins, stream)):
             for cell in patch_cells[i]:
                 if cell not in open_cells:
                     open_cells[cell] = (
                         scores[(slice(None), *_box(*cell))] if return_scores
                         else _unbacked_zeros((N_CLASSES,) + cell[1])
                     )
-            for answer in answers:
-                out = check_answer(answer, shape, N_CLASSES, scores_ok=True)
+            for out in outs:
                 for cell in patch_cells[i]:
                     local = _box([c - o for c, o in zip(cell[0], origin)], cell[1])
                     _accumulate(open_cells[cell], w[local], out[(..., *local)])

@@ -43,6 +43,15 @@ def validate_orientation(codes: Sequence[str]) -> tuple[str, str, str]:
     return codes  # type: ignore[return-value]
 
 
+def checked_spacing(spacing, name: str = "spacing") -> tuple[float, float, float]:
+    """``spacing`` as three floats; ValueError unless they are finite and positive."""
+    out = tuple(float(s) for s in spacing)
+    # NaN fails every comparison, so it fails this one too
+    if len(out) != 3 or not all(0.0 < s < np.inf for s in out):
+        raise ValueError(f"{name} must be 3 finite positive reals, got {spacing!r}")
+    return out  # type: ignore[return-value]
+
+
 @dataclass(frozen=True, eq=False)
 class Volume:
     """A dense 3D voxel grid with spacing (mm/voxel) and orientation.
@@ -63,9 +72,7 @@ class Volume:
             raise ValueError(f"expected a 3D array, got shape {data.shape}")
         if min(data.shape) < 1:
             raise ValueError(f"all dims must be >= 1, got {data.shape}")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be 3 positive reals, got {self.spacing!r}")
+        spacing = checked_spacing(self.spacing)
         if self.kind not in VOLUME_KINDS:
             raise ValueError(f"kind must be one of {VOLUME_KINDS}, got {self.kind!r}")
         if self.kind != "intensity" and not np.issubdtype(data.dtype, np.integer):
@@ -172,9 +179,7 @@ def resample(vol: Volume, new_spacing: Sequence[float], mode: str = "nearest") -
     grid changes, shrinking axes first, with edge voxels repeated beyond
     the volume.
     """
-    new_spacing = tuple(float(s) for s in new_spacing)
-    if len(new_spacing) != 3 or any(s <= 0 for s in new_spacing):
-        raise ValueError(f"new_spacing must be 3 positive reals, got {new_spacing!r}")
+    new_spacing = checked_spacing(new_spacing, "new_spacing")
     if mode not in ("nearest", "trilinear"):
         raise ValueError(f"mode must be 'nearest' or 'trilinear', got {mode!r}")
     if mode == "trilinear" and vol.is_label:

@@ -301,6 +301,16 @@ class TestSegment:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("spacing", ["nan,1,1", "inf,1,1", "0,1,1"])
+    def test_bad_spacing_is_usage_error(self, phantom_dir, tmp_path, spacing):
+        code = run_cli(
+            "segment", "--input", phantom_dir / "intensity.nii.gz",
+            "--semantic", f"oracle:{phantom_dir / 'semantic.nii.gz'}",
+            "--instance", f"oracle:{phantom_dir / 'instance.nii.gz'}",
+            "--out-dir", tmp_path / "seg", "--spacing", spacing,
+        )
+        assert code == 2
+
     def test_bad_overlap_is_usage_error(self, phantom_dir, tmp_path):
         code = run_cli(
             "segment", "--input", phantom_dir / "intensity.nii.gz",

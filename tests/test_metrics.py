@@ -336,6 +336,14 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        # NaN differences counted as neither sign: 30 NaN pairs gave p = 4.6e-8
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([bad] * 30, [0.0] * 30)
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank([1.0, 2.0, 3.0], [0.0, bad, 0.0])
+
 
 class TestReports:
     def test_semantic_report_names_and_values(self):

@@ -304,6 +304,18 @@ class TestRejections:
         with pytest.raises(NiftiError, match="sizeof_hdr"):
             read_nifti(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("form", ["sform", "pixdim"])
+    def test_non_finite_spacing_rejected(self, bad, form, tmp_path):
+        if form == "sform":
+            hdr = make_header((2, 2, 2), sform=[(bad, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        else:
+            hdr = make_header((2, 2, 2), pixdim=(bad, 1.0, 1.0))
+        p = tmp_path / "s.nii"
+        write_raw(p, hdr, np.zeros((2, 2, 2), dtype=np.uint8))
+        with pytest.raises(NiftiError, match="voxel spacing"):
+            read_nifti(p)
+
     def test_oblique_45_degree_affine_rejected(self, tmp_path):
         # two columns share the same dominant world axis
         sform = [

@@ -26,7 +26,6 @@ from spineseg.pipeline import (
     TilingSpec,
     _axis_positions,
     _blend_window,
-    _shared,
     predict_semantic,
     run_pipeline,
     tile_volume,
@@ -259,6 +258,36 @@ class TestPredictSemantic:
             predict_semantic(vol, [], TilingSpec(patch_size=(8, 8, 8)))
 
 
+class Scribbler:
+    """Answers like ``inner``, then overwrites its input in place; keeps
+    the sum of every input it was given."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sums = []
+
+    def predict(self, vol, where):
+        self.sums.append(int(vol.data.sum()))
+        out = self.inner.predict(vol, where)
+        vol.data[...] = 7
+        return out
+
+
+class TestPredictorInputs:
+    @pytest.mark.parametrize("dims, patch", [
+        ((8, 8, 8), (4, 4, 4)),  # a tiled ensemble: every patch cut from the grid
+        ((4, 4, 8), (4, 4, 8)),  # one patch covering the grid
+        ((8, 4, 8), (2, 4, 8)),  # slabs spanning y and z, C-contiguous in the grid
+    ])
+    def test_members_and_caller_never_see_an_edit(self, dims, patch):
+        vol = make_volume(np.ones(dims))
+        members = [Scribbler(ConstantLabeler(1)) for _ in range(2)]
+        predict_semantic(vol, members, TilingSpec(patch_size=patch, overlap=0.0))
+        assert (vol.data == 1).all()
+        for m in members:
+            assert m.sums == [int(np.prod(patch))] * (np.prod(dims) // np.prod(patch)), m.sums
+
+
 def reference_accumulate(scores, weights, sl, w, out):
     """The per-code accumulation: one full-patch ``w * (out == code)`` per
     label code, every voxel of the patch added to the weights."""
@@ -412,22 +441,6 @@ class TestTilingAgainstReference:
         assert len(seen) == 23 * members
         assert max(alive) <= 2, alive
 
-    def test_shared_streams_give_every_item_once_in_any_interleaving(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            n, m = int(rng.integers(1, 5)), int(rng.integers(0, 10))
-            made = []
-            streams = _shared((made.append(x) or x for x in range(m)), n)
-            got, live = [[] for _ in range(n)], list(range(n))
-            while live:
-                k = live[int(rng.integers(len(live)))]
-                item = next(streams[k], None)
-                if item is None:
-                    live.remove(k)
-                else:
-                    got[k].append(item)
-            assert made == list(range(m)) and got == [made] * n
-
 
 def write_script(tmp_path, name, body):
     """A predictor script that imports the spineseg package this suite tests,
@@ -503,6 +516,17 @@ FIRST_FAILS_SCRIPT = """
         write_nifti(vol.with_data(vol.data + 19), sys.argv[2])  # label 20 is no class
     else:
         time.sleep(30)
+"""
+
+
+FIRST_ANSWERS_SCRIPT = """
+    import os, time
+    open(os.path.join(sys.argv[3], "%d.log" % os.getpid()), "w").close()
+    from spineseg.nifti import read_nifti, write_nifti
+    vol = read_nifti(sys.argv[1])
+    if vol.data.max() != 1:
+        time.sleep(30)
+    write_nifti(vol, sys.argv[2])
 """
 
 
@@ -720,6 +744,22 @@ class TestExternalPredictors:
         pids = logged_children(logs)
         assert pids and not any(alive(pid) for pid in pids)
 
+    def test_a_failing_member_stops_every_member_call(self, tmp_path):
+        # member a answers its first call, then sleeps; member b's first call fails
+        vol, spec = numbered_patches()
+        members = []
+        for name, body, args in (("a", FIRST_ANSWERS_SCRIPT, ()), ("b", FIRST_FAILS_SCRIPT, ("exit",))):
+            (tmp_path / name).mkdir()
+            members.append(script_predictor(tmp_path / name, body, tmp_path / name, *args))
+        t = time.perf_counter()
+        with pytest.raises(PredictorError, match="status 3"):
+            predict_semantic(vol, members, spec)
+        assert time.perf_counter() - t < 15
+        for m in members:
+            assert list(m.exchange_dir.iterdir()) == []
+        pids = {**logged_children(tmp_path / "a"), **logged_children(tmp_path / "b")}
+        assert pids and not any(alive(pid) for pid in pids)
+
     def test_closing_the_stream_stops_every_running_call(self, tmp_path):
         logs = tmp_path / "logs"
         logs.mkdir()
@@ -779,6 +819,24 @@ class TestRunPipeline:
         assert sem_out.orientation == ("P", "I", "R")
         assert np.array_equal(sem_out.data, sem.data)
         assert np.array_equal(inst_out.data, inst.data)
+
+    def test_predictors_cannot_edit_the_input(self):
+        # canonical and at target spacing: prepare hands the caller's array on
+        truth = growing_corpora()
+        img = Volume(truth.data.astype(np.float32), pipeline.DEFAULT_SPACING, ("P", "I", "R"))
+        before = img.data.copy()
+
+        class Truth:
+            def predict(self, patch, origin):
+                return truth.data[tuple(slice(o, o + n) for o, n in zip(origin, patch.dims))]
+
+        cfg = PipelineConfig(tiling=TilingSpec(patch_size=img.dims), cutout_size=(16, 16, 8))
+        want = run_pipeline(img, Truth(), CenterCorpus(), cfg)
+        got = run_pipeline(img, Scribbler(Truth()), Scribbler(CenterCorpus()), cfg)
+        assert np.array_equal(img.data, before)
+        for a, b in zip(want[:2], got[:2]):
+            assert np.array_equal(a.data, b.data)
+        assert len(want[2].assembly["cutouts"]) == 4
 
     def test_empty_input_gives_empty_masks_and_warning(self, standard_phantom):
         img, sem, _ = standard_phantom

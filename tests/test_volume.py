@@ -474,6 +474,14 @@ class TestVolumeValidation:
         with pytest.raises(ValueError):
             Volume(np.zeros((2, 2, 2)), spacing=(1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_spacing(self, bad):
+        with pytest.raises(ValueError, match="finite positive"):
+            Volume(np.zeros((2, 2, 2)), spacing=(bad, 1.0, 1.0))
+        # an infinite target spacing used to give a (1, 8, 8) volume
+        with pytest.raises(ValueError, match="finite positive"):
+            resample(Volume(np.zeros((8, 8, 8))), (bad, 1.0, 1.0), "trilinear")
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             Volume(np.zeros((2, 2, 2)), kind="labels")
