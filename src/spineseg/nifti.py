@@ -177,10 +177,11 @@ def _build_affine(vol: Volume) -> np.ndarray:
     return affine
 
 
-def write_nifti(vol: Volume, path) -> None:
+def write_nifti(vol: Volume, path, *, compresslevel: int = _GZIP_LEVEL) -> None:
     """Write a volume as single-file NIfTI-1; gzip when the name ends .gz,
-    at compression level 1 with a zero timestamp, so equal volumes give
-    equal files.
+    at ``compresslevel`` (default 1) with a zero timestamp, so equal
+    volumes give equal files. Level 0 stores the voxels uncompressed in a
+    valid gzip member, for files that are read back at once.
 
     Label volumes are stored as unsigned 16-bit integers, intensity
     volumes as float32. The orientation/spacing go into the sform.
@@ -215,7 +216,7 @@ def write_nifti(vol: Volume, path) -> None:
 
     if path.name.endswith(".gz"):
         with open(path, "wb") as raw:
-            with gzip.GzipFile(fileobj=raw, mode="wb", compresslevel=_GZIP_LEVEL, mtime=0) as gz:
+            with gzip.GzipFile(fileobj=raw, mode="wb", compresslevel=compresslevel, mtime=0) as gz:
                 gz.write(blob)
     else:
         path.write_bytes(blob)

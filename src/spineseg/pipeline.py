@@ -15,6 +15,7 @@ import os
 import shlex
 import subprocess
 import tempfile
+import threading
 import time
 import uuid
 from collections import deque
@@ -33,9 +34,12 @@ from .volume import Volume, resample, to_canonical
 
 N_CLASSES = len(Structure)
 DEFAULT_SPACING = (0.75, 0.75, 1.65)
-# exec: calls running at once per predictor: measured with a single-threaded
-# command on two cores; a multi-threaded or GPU model would fight wider
+# exec: calls running at once per predictor: measured on two cores with a
+# numpy stand-in whose every child started a thread pool as wide as the
+# machine; a model heavier than that, or on a GPU, would fight wider
 _MAX_RUNNING = 2
+# thread-pool sizes a child gets from predict_many unless the user set them
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -205,18 +209,22 @@ def _substitute(command: str, in_path: Path, out_path: Path) -> list[str]:
 class ExternalPredictor:
     """A semantic or instance model behind an external command.
 
-    The input volume is written as ``in_<uuid>.nii.gz``; the command runs
-    with the input and output paths substituted for ``{input}`` and
-    ``{output}`` (or appended when no placeholder appears); the process
-    answers with ``out_<uuid>.nii.gz`` (labels) or one
-    ``out_<uuid>_c<k>.nii.gz`` per class (scores). Nonzero exit status,
-    timeout, or missing output is a failure carrying the diagnostics; the
-    answer itself is checked by the phase that asked for it.
+    The input volume is written as ``in_<uuid>.nii.gz``, a gzip member
+    stored uncompressed (deflate level 0), which any gzip reader opens; the
+    command runs with the input and output paths substituted for
+    ``{input}`` and ``{output}`` (or appended when no placeholder appears);
+    the process answers with ``out_<uuid>.nii.gz`` (labels) or one
+    ``out_<uuid>_c<k>.nii.gz`` per class (scores), gzipped or not.
+    Nonzero exit status, timeout, or missing output is a failure carrying
+    the diagnostics; the answer itself is checked by the phase that asked
+    for it.
 
     Calls may run concurrently, up to two per predictor (2K for an
     ensemble of K), and their answers are used in input order. A command
     must not assume it runs alone; one that must can serialize itself,
     e.g. with ``flock``. Its output goes to ``log_<uuid>.std{out,err}``.
+    Its thread pools get a share of the usable CPUs unless the user sized
+    them (see ``predict_many``).
     """
 
     def __init__(self, command: str, exchange_dir=None, timeout: float = 300.0):
@@ -237,10 +245,18 @@ class ExternalPredictor:
     def predict_many(self, volumes, wheres):
         """``predict`` over paired ``volumes`` and ``wheres``: answers in input
         order, up to two commands running at once, each call timed out from
-        its own start. An error or ``close()`` kills and waits for the
-        commands still running and deletes their exchange files."""
+        its own start and answered as soon as its command exits. Each
+        command gets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
+        ``MKL_NUM_THREADS`` at ``usable CPUs // commands at once`` (at least
+        1); one already set in the environment is passed on unchanged. An
+        error or ``close()`` kills and waits for the commands still
+        running and deletes their exchange files."""
         affinity = getattr(os, "sched_getaffinity", None)
-        window = min(_MAX_RUNNING, len(affinity(0)) if affinity else os.cpu_count() or 1)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        window = min(_MAX_RUNNING, cpus)
+        # two children each sizing their pools to the whole machine oversubscribe it
+        share = str(max(1, cpus // window))
+        env = {**dict.fromkeys(_THREAD_VARS, share), **os.environ}
         running = deque()
         try:
             for volume, _ in zip(volumes, wheres, strict=True):
@@ -252,12 +268,14 @@ class ExternalPredictor:
                 paths += [self.exchange_dir / f"log_{uid}.{s}" for s in ("stdout", "stderr")]
                 call = _Call(paths, _substitute(self.command, *paths[:2]))
                 running.append(call)  # from here on, every exit discards it
-                write_nifti(volume, paths[0])
+                # stored, not deflated: the child reads it back at once, and a float
+                # patch shrinks by about a tenth for 30x the write time
+                write_nifti(volume, paths[0], compresslevel=0)
                 call.start = time.monotonic()
                 # output goes to files: a pipe nobody reads yet would stall a chatty command
                 with open(paths[-2], "wb") as out, open(paths[-1], "wb") as err:
                     try:
-                        call.proc = subprocess.Popen(call.argv, stdout=out, stderr=err)
+                        call.proc = subprocess.Popen(call.argv, stdout=out, stderr=err, env=env)
                     except OSError as e:
                         raise PredictorError(f"could not launch predictor {call.argv}: {e}")
             while running:
@@ -272,10 +290,14 @@ class ExternalPredictor:
         proc, argv = call.proc, call.argv
         in_path, out_path, *score_paths, out_log, err_log = call.paths
         try:
-            try:
-                # a command that has ended is not late, however long it waited here
-                proc.wait(timeout=max(call.start + self.timeout - time.monotonic(), 0))
-            except subprocess.TimeoutExpired:
+            # a command that has ended is not late, however long it waited here
+            if proc.poll() is None:
+                # a blocking wait returns the moment the command exits, where
+                # Popen.wait(timeout) would notice it up to 50 ms late
+                waiter = threading.Thread(target=proc.wait, daemon=True)
+                waiter.start()
+                waiter.join(max(call.start + self.timeout - time.monotonic(), 0))
+            if proc.returncode is None:
                 raise PredictorError(f"predictor timed out after {self.timeout}s: {argv}")
             if proc.returncode != 0:
                 raise PredictorError(
@@ -305,7 +327,11 @@ class ExternalPredictor:
 
 
 def _tail(path: Path) -> str:
-    return path.read_text(errors="replace")[-2000:]
+    """The last 2000 characters of a log, read from its end alone."""
+    with open(path, "rb") as log:
+        # 8000 bytes hold at least 2000 UTF-8 characters
+        log.seek(max(log.seek(0, os.SEEK_END) - 8000, 0))
+        return log.read().decode(errors="replace")[-2000:]
 
 
 @dataclass

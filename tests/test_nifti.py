@@ -8,6 +8,7 @@ writer.
 
 import builtins
 import gzip
+import hashlib
 import struct
 import tracemalloc
 
@@ -130,6 +131,21 @@ class TestRoundTrip:
         monkeypatch.undo()
         assert opened
         assert all(fh.closed for fh in opened)
+
+    def test_gzip_output_is_unchanged(self, tmp_path):
+        # the bytes of level-1 output from zlib's deflate; a user's masks
+        # must not change with how the toolkit's own exchange files are written
+        i, j, k = np.indices((24, 40, 12))
+        labels = np.where((i - 12) ** 2 + (j % 10 - 5) ** 2 < 20, 1 + j // 10, 0).astype(np.uint16)
+        intensity = (100 * labels + (7 * i + 3 * j + k) % 13).astype(np.float32)
+        want = {
+            "labels": "b0e56947f32436cd5c0bea9513a16bbc451939a4a6dd20b62382e8b1e3d8438b",
+            "intensity": "0d834516f7853aa19635a5a88880b1645500b8883883dc0b08e8f4fce7d8178b",
+        }
+        for name, data, kind in (("labels", labels, "semantic"), ("intensity", intensity, "intensity")):
+            path = tmp_path / f"{name}.nii.gz"
+            write_nifti(Volume(data, (0.75, 0.75, 1.65), ("P", "I", "R"), kind=kind), path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == want[name], name
 
     def test_label_range_guard(self, tmp_path):
         vol = Volume(np.full((2, 2, 2), 70000, dtype=np.int64), kind="instance")
