@@ -15,7 +15,6 @@ import os
 import shlex
 import subprocess
 import tempfile
-import threading
 import time
 import uuid
 from collections import deque
@@ -38,8 +37,6 @@ DEFAULT_SPACING = (0.75, 0.75, 1.65)
 # numpy stand-in whose every child started a thread pool as wide as the
 # machine; a model heavier than that, or on a GPU, would fight wider
 _MAX_RUNNING = 2
-# thread-pool sizes a child gets from predict_many unless the user set them
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -223,8 +220,6 @@ class ExternalPredictor:
     ensemble of K), and their answers are used in input order. A command
     must not assume it runs alone; one that must can serialize itself,
     e.g. with ``flock``. Its output goes to ``log_<uuid>.std{out,err}``.
-    Its thread pools get a share of the usable CPUs unless the user sized
-    them (see ``predict_many``).
     """
 
     def __init__(self, command: str, exchange_dir=None, timeout: float = 300.0):
@@ -245,18 +240,11 @@ class ExternalPredictor:
     def predict_many(self, volumes, wheres):
         """``predict`` over paired ``volumes`` and ``wheres``: answers in input
         order, up to two commands running at once, each call timed out from
-        its own start and answered as soon as its command exits. Each
-        command gets ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and
-        ``MKL_NUM_THREADS`` at ``usable CPUs // commands at once`` (at least
-        1); one already set in the environment is passed on unchanged. An
-        error or ``close()`` kills and waits for the commands still
-        running and deletes their exchange files."""
+        its own start. Inputs are stored, not deflated, gzip members. An
+        error or ``close()`` kills and waits for the commands still running
+        and deletes their exchange files."""
         affinity = getattr(os, "sched_getaffinity", None)
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        window = min(_MAX_RUNNING, cpus)
-        # two children each sizing their pools to the whole machine oversubscribe it
-        share = str(max(1, cpus // window))
-        env = {**dict.fromkeys(_THREAD_VARS, share), **os.environ}
+        window = min(_MAX_RUNNING, len(affinity(0)) if affinity else os.cpu_count() or 1)
         running = deque()
         try:
             for volume, _ in zip(volumes, wheres, strict=True):
@@ -275,7 +263,7 @@ class ExternalPredictor:
                 # output goes to files: a pipe nobody reads yet would stall a chatty command
                 with open(paths[-2], "wb") as out, open(paths[-1], "wb") as err:
                     try:
-                        call.proc = subprocess.Popen(call.argv, stdout=out, stderr=err, env=env)
+                        call.proc = subprocess.Popen(call.argv, stdout=out, stderr=err)
                     except OSError as e:
                         raise PredictorError(f"could not launch predictor {call.argv}: {e}")
             while running:
@@ -290,14 +278,10 @@ class ExternalPredictor:
         proc, argv = call.proc, call.argv
         in_path, out_path, *score_paths, out_log, err_log = call.paths
         try:
-            # a command that has ended is not late, however long it waited here
-            if proc.poll() is None:
-                # a blocking wait returns the moment the command exits, where
-                # Popen.wait(timeout) would notice it up to 50 ms late
-                waiter = threading.Thread(target=proc.wait, daemon=True)
-                waiter.start()
-                waiter.join(max(call.start + self.timeout - time.monotonic(), 0))
-            if proc.returncode is None:
+            try:
+                # a command that has ended is not late, however long it waited here
+                proc.wait(timeout=max(call.start + self.timeout - time.monotonic(), 0))
+            except subprocess.TimeoutExpired:
                 raise PredictorError(f"predictor timed out after {self.timeout}s: {argv}")
             if proc.returncode != 0:
                 raise PredictorError(

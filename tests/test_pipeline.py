@@ -556,25 +556,6 @@ KEEP_INPUT_SCRIPT = """
     shutil.copy(sys.argv[1], sys.argv[2])
 """
 
-# Writes the thread variables it got, as JSON, to its third argument.
-THREAD_VARS_SCRIPT = """
-    import json, os, shutil
-    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    with open(sys.argv[3], "w") as f:
-        json.dump({name: os.environ.get(name) for name in names}, f)
-    shutil.copy(sys.argv[1], sys.argv[2])
-"""
-
-# Answers after 0.2 s, stamps the time into its third argument and exits at once.
-STAMPED_EXIT_SCRIPT = """
-    import os, shutil, time
-    time.sleep(0.2)
-    shutil.copy(sys.argv[1], sys.argv[2])
-    with open(sys.argv[3], "w") as f:
-        f.write(repr(time.time()))
-    os._exit(0)
-"""
-
 # About 20 MB of stderr, then the tail a diagnosis should show; exits 3.
 FLOODING_SCRIPT = """
     sys.stderr.write("x" * 20_000_000 + "the true tail")
@@ -821,34 +802,6 @@ class TestExternalPredictors:
             assert blob == f.read()
         # stored, not deflated: this mostly-empty patch would shrink to a few percent
         assert kept.stat().st_size >= len(blob)
-
-    @pytest.mark.parametrize("cpus", [None, 6])
-    def test_children_get_a_thread_share_unless_set(self, cpus, tmp_path, small_semantic, monkeypatch):
-        if cpus is not None:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        share = str(max(1, usable // min(2, usable)))
-        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        for name in names:
-            monkeypatch.delenv(name, raising=False)
-        seen = tmp_path / "env.json"
-        pred = script_predictor(tmp_path, THREAD_VARS_SCRIPT, seen)
-        pred.predict(small_semantic, (0, 0, 0))
-        assert json.loads(seen.read_text()) == dict.fromkeys(names, share)
-        monkeypatch.setenv("OMP_NUM_THREADS", "7")
-        pred.predict(small_semantic, (0, 0, 0))
-        assert json.loads(seen.read_text()) == {**dict.fromkeys(names, share), "OMP_NUM_THREADS": "7"}
-        assert "OPENBLAS_NUM_THREADS" not in os.environ
-
-    def test_answer_follows_the_exit_promptly(self, tmp_path, small_semantic):
-        stamp = tmp_path / "exit.time"
-        pred = script_predictor(tmp_path, STAMPED_EXIT_SCRIPT, stamp)
-        lags = []
-        for _ in range(5):
-            pred.predict(small_semantic, (0, 0, 0))
-            lags.append(time.time() - float(stamp.read_text()))
-        # a wait that polls in steps of up to 50 ms lags by about U(0, 50) ms
-        assert np.median(lags) < 0.015, lags
 
     def test_failure_reads_only_the_end_of_a_huge_log(self, tmp_path, small_semantic):
         pred = script_predictor(tmp_path, FLOODING_SCRIPT)
