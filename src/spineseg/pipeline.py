@@ -29,7 +29,7 @@ from .assembly import CUTOUT_SIZE, MIN_VOLUME_FRACTION, PredictorError, answers,
 from .labels import Structure
 from .nifti import read_nifti, write_nifti
 from .postproc import enforce_consistency
-from .volume import Volume, resample, to_canonical
+from .volume import Volume, resample, to_canonical, usable_cpus
 
 N_CLASSES = len(Structure)
 DEFAULT_SPACING = (0.75, 0.75, 1.65)
@@ -243,8 +243,7 @@ class ExternalPredictor:
         its own start. Inputs are stored, not deflated, gzip members. An
         error or ``close()`` kills and waits for the commands still running
         and deletes their exchange files."""
-        affinity = getattr(os, "sched_getaffinity", None)
-        window = min(_MAX_RUNNING, len(affinity(0)) if affinity else os.cpu_count() or 1)
+        window = min(_MAX_RUNNING, usable_cpus())
         running = deque()
         try:
             for volume, _ in zip(volumes, wheres, strict=True):

@@ -8,6 +8,7 @@ of increasing index, so the canonical orientation is ("P", "I", "R").
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -324,3 +325,10 @@ def window_view(data: np.ndarray, origin, size) -> np.ndarray:
     if shared is not None:
         out[shared[1]] = data[shared[0]]
     return out
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's CPU count, else 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1

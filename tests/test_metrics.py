@@ -1,9 +1,12 @@
 """Metric implementations against brute-force oracles and hand fixtures."""
 
 import json
+import os
+import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 import pytest
@@ -22,8 +25,11 @@ from spineseg.metrics import (
     semantic_report,
     surface_mask,
     wilcoxon_signed_rank,
+    _distances,
     _label_pairs,
+    _surface_distance,
 )
+from spineseg import metrics
 from spineseg.labels import LABEL_MAX, Structure, classify_instance_id
 from spineseg.volume import Volume
 
@@ -716,3 +722,81 @@ class TestNonIntegerLabelDtypes:
             a, b, spacing, _ = crop_case(rng, i)
             want = assd(a.astype(np.uint16), b.astype(np.uint16), spacing)
             assert assd(a.astype(dtype), b.astype(dtype), spacing) == want, f"case {i}"
+
+
+class TestDistancesAtSurfaceVoxels:
+    """Distances come from the feature transform, read only where they are
+    summed; each must equal scipy's distance map at that voxel bit for bit."""
+
+    @pytest.mark.parametrize("spacing", [(0.75, 0.75, 1.65), (0.1, 0.7, 3.3), (1, 1, 1), 2.5])
+    def test_each_distance_equals_the_distance_map(self, spacing):
+        rng = np.random.default_rng(97)
+        for i in range(100):
+            a, b, _, _ = crop_case(rng, i)  # faces, whole grids, corners: masks on the volume edge
+            for x, y in ((a, b), (b, a), (surface_mask(a), surface_mask(b))):
+                want = ndi.distance_transform_edt(~y, sampling=spacing)[x]
+                assert np.array_equal(_distances(x, y, spacing), want), f"case {i}"
+
+    def test_peak_memory_per_box_voxel(self):
+        n = 64
+        grid = np.indices((n, n, n))
+        a = ((grid - 28) ** 2).sum(axis=0) < 20**2
+        b = ((grid - 36) ** 2).sum(axis=0) < 18**2
+        tracemalloc.start()
+        try:
+            _surface_distance(a, b, (0.75, 0.75, 1.65))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n**3 < 24  # full-box float64 distance maps took 59
+
+
+def shifted_phantom(phantom):
+    """The phantom's semantic and instance masks, each scored against a
+    copy of itself moved by one voxel: every structure has a distance."""
+    _, sem, inst = phantom
+    return (
+        sem.with_data(np.roll(sem.data, 1, axis=1)),
+        sem,
+        inst.with_data(np.roll(inst.data, 1, axis=0)),
+        inst,
+    )
+
+
+class TestPairPool:
+    """Label pairs run on a thread pool as wide as the usable CPUs."""
+
+    def test_reports_do_not_depend_on_the_cpu_count(self, fused_phantom, monkeypatch):
+        volumes = shifted_phantom(fused_phantom)
+        calls = []
+
+        def recording(*args):
+            calls.append(threading.get_ident())
+            return _surface_distance(*args)
+
+        monkeypatch.setattr(metrics, "_surface_distance", recording)
+        reports = {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            calls.clear()
+            reports[cpus] = json.dumps(evaluate_segmentation(*volumes), sort_keys=True)
+            # two batches, one per report, each on at most ``cpus`` worker threads
+            assert len(calls) > 20 and threading.get_ident() not in calls
+            assert len(set(calls)) <= 2 * cpus
+        assert reports[1] == reports[4]
+
+    def test_a_failing_pair_fails_the_report_and_leaves_no_thread(self, fused_phantom, monkeypatch):
+        volumes = shifted_phantom(fused_phantom)
+        calls = count()  # next() on it is atomic
+
+        def failing(*args):
+            if next(calls) == 2:
+                raise RuntimeError("pair failed")
+            return _surface_distance(*args)
+
+        monkeypatch.setattr(metrics, "_surface_distance", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="pair failed"):
+            evaluate_segmentation(*volumes)
+        assert threading.active_count() == before
