@@ -193,7 +193,10 @@ def _parse_predictor(uri: str, role: str, exchange_dir: Path, timeout: float):
         command = uri[len("exec:") :]
         if not command.strip():
             raise UsageError(f"--{role} exec spec has an empty command")
-        return ExternalPredictor(command, exchange_dir=exchange_dir, timeout=timeout)
+        try:
+            return ExternalPredictor(command, exchange_dir=exchange_dir, timeout=timeout)
+        except ValueError as e:
+            raise UsageError(str(e))
     raise UsageError(f"--{role} must start with oracle: or exec:, got {uri!r}")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage as ndi
 
 from .labels import LABEL_MAX, Structure, classify_instance_id
-from .volume import Volume, as_array, check_same_grid, usable_cpus
+from .volume import Volume, as_array, check_same_grid, checked_spacing, usable_cpus
 
 INSTANCE_KINDS = ("vertebra", "ivd", "endplate")
 
@@ -56,10 +56,10 @@ def surface_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def _spacing(a, b, spacing=None):
-    """The given spacing, else pred's, else ref's (when a Volume), else 1 mm."""
+    """The given spacing, checked, else pred's, else ref's (when a Volume), else 1 mm."""
     if spacing is None:
-        spacing = next((x.spacing for x in (a, b) if isinstance(x, Volume)), (1.0, 1.0, 1.0))
-    return spacing
+        return next((x.spacing for x in (a, b) if isinstance(x, Volume)), (1.0, 1.0, 1.0))
+    return checked_spacing(spacing)
 
 
 def _distances(sa: np.ndarray, sb: np.ndarray, spacing) -> np.ndarray:

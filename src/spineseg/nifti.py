@@ -161,9 +161,12 @@ def read_nifti(path, kind: str | None = None) -> Volume:
     # one copy, always: ascontiguousarray would hand back the read-only
     # buffer whenever the view is C-contiguous too (dims like 1x1xN)
     data = np.array(view, dtype=dt.newbyteorder("="), order="C")
-    if scl_slope not in (0.0, 1.0) or scl_inter != 0.0:
-        slope = scl_slope if scl_slope != 0.0 else 1.0
-        data = data.astype(np.float32) * slope + scl_inter
+    # nibabel's rule: a zero or non-finite slope (NaN by default) means unscaled
+    if scl_slope != 0.0 and np.isfinite(scl_slope):
+        if not np.isfinite(scl_inter):
+            raise NiftiError(f"{path.name}: scl_slope {scl_slope} with a non-finite scl_inter {scl_inter}")
+        if (scl_slope, scl_inter) != (1.0, 0.0):
+            data = data.astype(np.float32) * scl_slope + scl_inter
     if kind is None:
         kind = "semantic" if np.issubdtype(data.dtype, np.integer) else "intensity"
     return Volume(data, spacing, orientation, kind)

@@ -130,7 +130,7 @@ def _patch_cells(origins, shape) -> list[list[tuple]]:
     return [[tuple(zip(*spans3)) for spans3 in product(*(spans(a, o[a]) for a in range(3)))] for o in origins]
 
 
-def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), return_scores: bool = False):
+def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec()) -> Volume:
     """Tiled semantic prediction over the volume's own grid.
 
     ``predictor`` is one object or a sequence (an ensemble; their scores
@@ -149,9 +149,7 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
     (``_unbacked_zeros``) when its first patch answers, and is argmaxed
     into the labels and freed once its last patch has been added. Each
     voxel sees the same float32 additions in the same order, patch by
-    patch and member by member, as one full-grid buffer would. With
-    ``return_scores`` the cells are views of one full ``(15,) + dims``
-    buffer.
+    patch and member by member, as one full-grid buffer would.
     """
     predictors = list(predictor) if isinstance(predictor, (list, tuple)) else [predictor]
     if not predictors:
@@ -164,9 +162,6 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
     patch_cells = _patch_cells(origins, shape)
     last = {cell: i for i, cells in enumerate(patch_cells) for cell in cells}
     labels = np.zeros(dims, dtype=np.uint16)
-    if return_scores:
-        scores = np.zeros((N_CLASSES,) + dims, dtype=np.float32)
-        weights = np.zeros(dims, dtype=np.float32)
     open_cells = {}
 
     def cut(origin):
@@ -177,23 +172,15 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec(), re
         for i, (origin, outs) in enumerate(zip(origins, stream)):
             for cell in patch_cells[i]:
                 if cell not in open_cells:
-                    open_cells[cell] = (
-                        scores[(slice(None), *_box(*cell))] if return_scores
-                        else _unbacked_zeros((N_CLASSES,) + cell[1])
-                    )
+                    open_cells[cell] = _unbacked_zeros((N_CLASSES,) + cell[1])
             for out in outs:
                 for cell in patch_cells[i]:
                     local = _box([c - o for c, o in zip(cell[0], origin)], cell[1])
                     _accumulate(open_cells[cell], w[local], out[(..., *local)])
-                if return_scores:
-                    weights[_box(origin, shape)] += w
             for cell in patch_cells[i]:
                 if last[cell] == i:
                     _argmax_into(labels[_box(*cell)], open_cells.pop(cell))
-    semantic = Volume(labels, vol.spacing, vol.orientation, "semantic")
-    if return_scores:
-        return semantic, scores / weights
-    return semantic
+    return Volume(labels, vol.spacing, vol.orientation, "semantic")
 
 
 def _substitute(command: str, in_path: Path, out_path: Path) -> list[str]:
@@ -223,6 +210,8 @@ class ExternalPredictor:
     """
 
     def __init__(self, command: str, exchange_dir=None, timeout: float = 300.0):
+        if not 0.0 < timeout < math.inf:
+            raise ValueError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
         self.command = command
         self.timeout = timeout
         if exchange_dir is None:

@@ -178,7 +178,7 @@ def resample(vol: Volume, new_spacing: Sequence[float], mode: str = "nearest") -
     volumes only accept nearest mode so no new label values can appear.
     Trilinear mode is separable: one float64 linear pass per axis whose
     grid changes, shrinking axes first, with edge voxels repeated beyond
-    the volume.
+    the volume, then cast once to the input dtype promoted to float32.
     """
     new_spacing = checked_spacing(new_spacing, "new_spacing")
     if mode not in ("nearest", "trilinear"):
@@ -212,6 +212,7 @@ def resample(vol: Volume, new_spacing: Sequence[float], mode: str = "nearest") -
             # an axis sampled at its own voxel centers would be copied unchanged
             if not np.array_equal(axis_coords[axis], np.arange(old_dims[axis])):
                 data = _linear_pass(data, axis_coords[axis], axis)
+        data = data.astype(np.promote_types(vol.data.dtype, np.float32), copy=False)
     return Volume(np.ascontiguousarray(data), new_spacing, vol.orientation, vol.kind)
 
 

@@ -311,6 +311,17 @@ class TestSegment:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+    def test_bad_external_timeout_is_usage_error(self, phantom_dir, tmp_path, timeout, capsys):
+        code = run_cli(
+            "segment", "--input", phantom_dir / "intensity.nii.gz",
+            "--semantic", "exec:true",
+            "--instance", f"oracle:{phantom_dir / 'instance.nii.gz'}",
+            "--out-dir", tmp_path / "seg", "--timeout", timeout,
+        )
+        assert code == 2
+        assert "timeout must be a finite positive" in capsys.readouterr().err
+
     def test_bad_overlap_is_usage_error(self, phantom_dir, tmp_path):
         code = run_cli(
             "segment", "--input", phantom_dir / "intensity.nii.gz",

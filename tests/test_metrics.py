@@ -603,6 +603,14 @@ class TestLabelPairTable:
         assert semantic_report(pred, ref_vol)["corpus"]["ASSD"] == want
         assert instance_report(pred, ref_vol.with_data(ref, kind="instance"))["vertebra"]["ASSD"] == want
 
+    @pytest.mark.parametrize("spacing", [(np.nan, 1, 1), (0, 1, 1), (-1, 1, 1), (np.inf, 1, 1), (1, 1)])
+    def test_given_spacing_must_be_three_finite_positive_reals(self, spacing):
+        mask = np.zeros((2, 3, 2), dtype=np.uint16)
+        mask[0, 0:2, 0] = 1
+        for metric in (assd, semantic_report, instance_report, evaluate_segmentation):
+            with pytest.raises(ValueError, match="spacing must be 3 finite positive reals"):
+                metric(mask, mask, spacing=spacing)
+
 
 def _random_box(rng, shape):
     lo = [int(rng.integers(0, n)) for n in shape]

@@ -32,6 +32,7 @@ def make_header(
     ndim=3,
     extra_dims=(1, 1, 1, 1),
     vox_offset=352.0,
+    scale=(1.0, 0.0),
 ):
     """Assemble a raw 348-byte NIfTI-1 header field by field."""
     h = bytearray(348)
@@ -42,7 +43,7 @@ def make_header(
     struct.pack_into(endian + "h", h, 72, bitpix)
     struct.pack_into(endian + "8f", h, 76, qfac, *pixdim, 0, 0, 0, 0)
     struct.pack_into(endian + "f", h, 108, vox_offset)
-    struct.pack_into(endian + "2f", h, 112, 1.0, 0.0)
+    struct.pack_into(endian + "2f", h, 112, *scale)  # scl_slope, scl_inter
     if sform is not None:
         struct.pack_into(endian + "2h", h, 252, 0, 2)
         struct.pack_into(endian + "4f", h, 280, *sform[0])
@@ -267,6 +268,38 @@ class TestHandBuiltFixtures:
                 gz.write(blob)
         vol = read_nifti(p)
         assert np.array_equal(vol.data, data)
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestScaleFields:
+    DATA = np.arange(24, dtype=np.uint16).reshape(2, 3, 4, order="F")
+
+    def read(self, tmp_path, scale, **kw):
+        p = tmp_path / "scaled.nii"
+        write_raw(p, make_header((2, 3, 4), datatype=512, bitpix=16, scale=scale), self.DATA)
+        return read_nifti(p, **kw)
+
+    # nibabel writes NaN/NaN by default; a slope of 0 or inf also means unscaled
+    @pytest.mark.parametrize("scale", [(np.nan, np.nan), (0.0, 3.0), (np.inf, np.nan)],
+                             ids=["nan-nan", "zero-slope", "inf-slope"])
+    def test_unscaled_fields_keep_the_stored_voxels(self, scale, tmp_path):
+        vol = self.read(tmp_path, scale)
+        assert vol.kind == "semantic"
+        assert same_array(vol.data, self.DATA)
+        assert same_array(self.read(tmp_path, scale, kind="semantic").data, self.DATA)
+
+    def test_slope_and_intercept_scale(self, tmp_path):
+        vol = self.read(tmp_path, (2.0, 1.0))
+        assert vol.kind == "intensity"
+        assert same_array(vol.data, self.DATA.astype(np.float32) * 2 + 1)
+
+    @pytest.mark.parametrize("slope", [1.0, 2.0])
+    def test_finite_slope_with_nan_intercept_raises(self, slope, tmp_path):
+        with pytest.raises(NiftiError, match="scl_inter"):
+            self.read(tmp_path, (slope, np.nan))
 
 
 class TestRejections:

@@ -168,7 +168,7 @@ class TestPredictSemantic:
         assert (out.data[:24] == 1).all()
         assert (out.data[24:] == 2).all()
 
-    def test_scores_predictor_and_normalization(self, standard_phantom):
+    def test_scores_predictor(self, standard_phantom):
         img, sem, _ = standard_phantom
 
         class OneHotScores:
@@ -177,25 +177,8 @@ class TestPredictSemantic:
                 window = sem.data[sl]
                 return np.stack([(window == c).astype(np.float32) for c in range(15)])
 
-        out, scores = predict_semantic(img, OneHotScores(), TilingSpec(), return_scores=True)
+        out = predict_semantic(img, OneHotScores(), TilingSpec())
         assert np.array_equal(out.data, sem.data)
-        assert scores.shape == (15,) + sem.dims
-        assert np.allclose(scores.sum(axis=0), 1.0, atol=1e-5)
-
-    def test_ensemble_scores_are_the_member_average(self):
-        labels = np.random.default_rng(4).integers(0, 15, size=(16, 8, 8))
-        vol = make_volume(np.zeros(labels.shape), kind="intensity")
-
-        class Labels:
-            def predict(self, patch, origin):
-                return labels[tuple(slice(o, o + s) for o, s in zip(origin, patch.dims))]
-
-        spec = TilingSpec(patch_size=(8, 8, 8), overlap=0.5)
-        _, one = predict_semantic(vol, Labels(), spec, return_scores=True)
-        _, three = predict_semantic(vol, [Labels()] * 3, spec, return_scores=True)
-        assert np.allclose(one.sum(axis=0), 1.0, atol=1e-6)
-        assert np.allclose(three.sum(axis=0), 1.0, atol=1e-6)
-        assert np.allclose(three, one, atol=1e-6)
 
     def test_rejects_bad_labels_and_shapes(self):
         vol = make_volume(np.zeros((8, 8, 8)), kind="intensity")
@@ -290,31 +273,29 @@ class TestPredictorInputs:
             assert m.sums == [int(np.prod(patch))] * (np.prod(dims) // np.prod(patch)), m.sums
 
 
-def reference_accumulate(scores, weights, sl, w, out):
+def reference_accumulate(scores, sl, w, out):
     """The per-code accumulation: one full-patch ``w * (out == code)`` per
-    label code, every voxel of the patch added to the weights."""
+    label code."""
     if out.ndim == 3:
         for code in np.unique(out):
             scores[int(code)][sl] += w * (out == code)
     else:
         scores[:, sl[0], sl[1], sl[2]] += w * out
-    weights[sl] += w
 
 
 def reference_predict_semantic(vol, predictors, spec):
     """Tiled prediction with the full-buffer ``np.argmax``: (labels, raw
-    scores, normalized scores)."""
+    scores)."""
     scores = np.zeros((15,) + vol.dims, dtype=np.float32)
-    weights = np.zeros(vol.dims, dtype=np.float32)
     for origin in tile_volume(vol.dims, spec):
         sl = tuple(slice(o, min(o + p, d)) for o, p, d in zip(origin, spec.patch_size, vol.dims))
         patch = Volume(np.ascontiguousarray(vol.data[sl]), vol.spacing, vol.orientation, vol.kind)
         w = _blend_window(patch.dims, spec.blend)
         for p in predictors:
             out = check_answer(p.predict(patch, origin), patch.dims, 15, scores_ok=True)
-            reference_accumulate(scores, weights, sl, w, out)
+            reference_accumulate(scores, sl, w, out)
     labels = np.argmax(scores, axis=0).astype(np.uint16)
-    return labels, scores, scores / weights
+    return labels, scores
 
 
 class RandomAnswers:
@@ -361,18 +342,15 @@ class TestTilingAgainstReference:
                    for m in range(int(rng.integers(1, 4)))]
         return make_volume(np.zeros(dims), kind="intensity"), members, spec
 
-    def test_labels_and_scores_match_the_full_argmax(self):
+    def test_labels_match_the_full_argmax(self):
         rng = np.random.default_rng(11)
         kinds_seen, ties, infinities = set(), 0, 0
         for trial in range(100):
             vol, members, spec = self.random_case(rng, trial)
             with np.errstate(over="ignore", invalid="ignore"):
-                want_labels, raw, want_scores = reference_predict_semantic(vol, members, spec)
+                want_labels, raw = reference_predict_semantic(vol, members, spec)
                 got = predict_semantic(vol, members, spec)
-                sem, scores = predict_semantic(vol, members, spec, return_scores=True)
             assert same_bits(got.data, want_labels), trial
-            assert same_bits(sem.data, want_labels), trial
-            assert same_bits(scores, want_scores), trial
             kinds_seen.update(m.kind for m in members)
             top = raw.max(axis=0)
             ties += int(((raw == top).sum(axis=0) > 1).sum())
@@ -416,7 +394,7 @@ class TestTilingAgainstReference:
         spec = TilingSpec(patch_size=(32, 48, 16), overlap=0.5)
         predictor = RandomAnswers(5, "uint8")
         buffer = 15 * np.prod(dims) * 4
-        want, _, _ = reference_predict_semantic(vol, [predictor], spec)
+        want, _ = reference_predict_semantic(vol, [predictor], spec)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -692,6 +670,13 @@ class TestExternalPredictors:
         )
         with pytest.raises(PredictorError, match="timed out"):
             pred.predict(small_semantic, (0, 0, 0))
+
+    # NaN would turn the timeout off; zero or less would fail every call
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_timeout_must_be_finite_and_positive(self, tmp_path, timeout):
+        with pytest.raises(ValueError, match="timeout must be a finite positive"):
+            ExternalPredictor("true", exchange_dir=tmp_path / "xchg", timeout=timeout)
+        assert not (tmp_path / "xchg").exists()
 
     def test_answers_are_used_in_input_order(self, tmp_path):
         logs = tmp_path / "logs"

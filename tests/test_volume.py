@@ -210,11 +210,20 @@ class TestResample:
             vol = Volume(data.astype(np.float32), spacing)
             got = resample(vol, new_spacing, mode="trilinear")
             want = reference_trilinear(vol.data, spacing, new_spacing)
-            assert got.data.dtype == np.float64, trial
+            assert got.data.dtype == np.float32, trial
             assert got.dims == want.shape, trial
-            assert np.abs(got.data - want).max() <= 1e-12, trial
+            # float64 passes, one cast at the end: within a float32 ulp of the float64 reference
+            np.testing.assert_array_max_ulp(got.data, want.astype(np.float32), maxulp=1)
             axes_seen.update(np.sign(np.subtract(got.dims, dims)).tolist())
         assert axes_seen == {-1, 0, 1}
+
+    @pytest.mark.parametrize("dtype, want", [
+        (np.float32, np.float32), (np.int16, np.float32), (np.uint8, np.float32),
+        (np.float64, np.float64), (np.int32, np.float64),
+    ])
+    def test_trilinear_keeps_float32_and_never_returns_integers(self, dtype, want):
+        vol = Volume(np.arange(24).reshape(2, 3, 4).astype(dtype), (1.0, 1.0, 1.0))
+        assert resample(vol, (1.0, 0.5, 2.0), mode="trilinear").data.dtype == want
 
     def test_trilinear_weights_along_the_one_changed_axis(self):
         data = np.random.default_rng(2).normal(size=(5, 6, 7))
