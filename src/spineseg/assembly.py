@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 from scipy import ndimage as ndi
 
-from .labels import VERTEBRA_ID_MAX, Structure, is_vertebra_id, structure_instance_id, writable_instances
+from .labels import VERTEBRA_ID_MAX, Structure, checked_labels, is_vertebra_id, structure_instance_id, writable_instances
 from .volume import Volume, connected_components, label_centroids, overlap, window_view
 
 CUTOUT_SIZE = (248, 304, 64)
@@ -35,12 +35,10 @@ class PredictorError(RuntimeError):
 def check_answer(answer, shape, n_labels: int, scores_ok: bool = False) -> np.ndarray:
     """A predictor's answer, checked against the output contract.
 
-    A 3D answer of ``shape`` holds labels: integers in ``0..n_labels - 1``.
-    An integer array is returned as it is; a boolean array, or a float
-    array whose values are all integral (``exec:`` models may write float
-    NIfTI labels), comes back as uint16. When ``scores_ok``, a 4D answer
-    of shape ``(n_labels,) + shape`` holds per-label scores and comes back
-    as finite float32. Any other answer raises ``PredictorError``.
+    A 3D answer of ``shape`` holds labels and passes ``checked_labels``
+    (``exec:`` models may write float NIfTI labels). When ``scores_ok``, a
+    4D answer of shape ``(n_labels,) + shape`` holds per-label scores and
+    comes back as finite float32. Any other answer raises ``PredictorError``.
     """
     out = np.asarray(answer)
     shape = tuple(shape)
@@ -58,14 +56,11 @@ def check_answer(answer, shape, n_labels: int, scores_ok: bool = False) -> np.nd
         raise PredictorError(f"predictor returned a {out.ndim}D array")
     if out.shape != shape:
         raise PredictorError(f"label answer has shape {out.shape}, expected {shape}")
-    # NaN fails this test too; infinities fail the range test below
-    if out.dtype.kind == "f" and not (out == np.floor(out)).all():
-        raise PredictorError("label answer contains non-integral values")
-    lo, hi = out.min(), out.max()
-    if lo < 0 or hi >= n_labels:
+    try:
+        return checked_labels(out, n_labels)
+    except ValueError as err:
         allowed = ", ".join(str(k) for k in range(n_labels))
-        raise PredictorError(f"label answer has values {lo}..{hi}, outside {{{allowed}}}")
-    return out if out.dtype.kind in "iu" else out.astype(np.uint16)
+        raise PredictorError(f"label answer is not in {{{allowed}}}: {err}") from None
 
 
 def answers(predictors, cut, wheres, shape, n_labels: int, scores_ok: bool = False):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.ndimage as ndi
 
-from .labels import Structure
+from .labels import Structure, checked_labels
 from .volume import Volume, binary_closing, fill_holes
 
 
@@ -35,9 +35,10 @@ class AnnotationSources:
         if not (self.base.same_grid(self.substructures) and self.base.same_grid(self.cord)):
             raise ValueError("annotation sources live on different grids")
         for name, vol in (("base", self.base), ("substructure", self.substructures)):
-            outside = vol.data[~np.isin(vol.data, np.arange(len(Structure)))]
-            if outside.size:
-                raise ValueError(f"{name} annotation holds label {outside.min()}, not a structure code")
+            try:
+                checked_labels(vol.data, len(Structure))
+            except ValueError as err:
+                raise ValueError(f"{name} annotation: {err}") from None
 
 
 def merge_sources(src: AnnotationSources) -> Volume:

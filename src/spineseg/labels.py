@@ -108,6 +108,27 @@ def classify_instance_id(value: int) -> tuple[str, int]:
     raise ValueError(f"instance id {value} is outside all known ranges")
 
 
+def checked_labels(values, n_labels: int) -> np.ndarray:
+    """``values`` as labels: whole numbers in ``0..n_labels - 1``, for
+    ``n_labels`` up to 65536. Integer arrays come back as they are, bool
+    and integral float arrays as uint16. Anything else (non-numeric or
+    complex dtypes, fractions, NaN, infinities, values out of range)
+    raises ValueError naming the rule and the range found. Integrality is
+    tested before any cast, so nothing warns."""
+    arr = np.asarray(values)
+    rule = f"labels must be whole numbers in 0..{n_labels - 1}"
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{rule}; found {arr.dtype} values")
+    if arr.size:
+        lo, hi = arr.min(), arr.max()
+        # NaN fails this test; infinities fail the range test below
+        if arr.dtype.kind == "f" and not (arr == np.floor(arr)).all():
+            raise ValueError(f"{rule}; found non-integral values in {lo}..{hi}")
+        if lo < 0 or hi >= n_labels:
+            raise ValueError(f"{rule}; found {lo}..{hi}, outside that range")
+    return arr if arr.dtype.kind in "iu" else arr.astype(np.uint16)
+
+
 def label_map() -> list[dict]:
     """Machine-readable label taxonomy, one entry per semantic code."""
     entries = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage as ndi
 
-from .labels import LABEL_MAX, Structure, classify_instance_id
+from .labels import LABEL_MAX, Structure, checked_labels, classify_instance_id
 from .volume import Volume, as_array, check_same_grid, checked_spacing, usable_cpus
 
 INSTANCE_KINDS = ("vertebra", "ivd", "endplate")
@@ -93,29 +93,25 @@ def _union_box(box_a, box_b, shape) -> tuple[slice, ...]:
     )
 
 
-def _label_assd(lp: np.ndarray, lr: np.ndarray, spacing):
-    """A function of a list of ``(p, r)`` pairs, labels present on both
-    sides, giving the ASSD of ``lp == p`` against ``lr == r`` for each, in
-    input order. Each pair's masks are cut from the union box of its two
-    labels; the boxes come from one ``find_objects`` per side and call.
-    The pairs run on a thread pool as wide as the usable CPUs (scipy's
-    transforms release the GIL), opened and closed by each call; every
-    value is the same whatever the width."""
+def _assd_pairs(lp: np.ndarray, lr: np.ndarray, pairs: list[tuple[int, int]], spacing) -> list[float]:
+    """The ASSD of ``lp == p`` against ``lr == r`` for each ``(p, r)`` of
+    ``pairs``, labels present on both sides, in input order. Each pair's
+    masks are cut from the union box of its two labels; the boxes come
+    from one ``find_objects`` per side and call. The pairs run on a thread
+    pool as wide as the usable CPUs (scipy's transforms release the GIL),
+    opened and closed by each call; every value is the same whatever the
+    width."""
+    if not pairs:
+        return []
+    boxes_p, boxes_r = ndi.find_objects(lp), ndi.find_objects(lr)
 
-    def batch(pairs: list[tuple[int, int]]) -> list[float]:
-        if not pairs:
-            return []
-        boxes_p, boxes_r = ndi.find_objects(lp), ndi.find_objects(lr)
+    def one(pair: tuple[int, int]) -> float:
+        p, r = pair
+        box = _union_box(boxes_p[p - 1], boxes_r[r - 1], lp.shape)
+        return _surface_distance(lp[box] == p, lr[box] == r, spacing)
 
-        def one(pair: tuple[int, int]) -> float:
-            p, r = pair
-            box = _union_box(boxes_p[p - 1], boxes_r[r - 1], lp.shape)
-            return _surface_distance(lp[box] == p, lr[box] == r, spacing)
-
-        with ThreadPoolExecutor(min(len(pairs), usable_cpus())) as pool:
-            return list(pool.map(one, pairs))
-
-    return batch
+    with ThreadPoolExecutor(min(len(pairs), usable_cpus())) as pool:
+        return list(pool.map(one, pairs))
 
 
 def assd(a, b, spacing=None) -> float:
@@ -130,7 +126,7 @@ def assd(a, b, spacing=None) -> float:
     edge, so each voxel is surface in the box exactly when it is in the
     whole volume. Distances are read at surface voxels only, and equal
     ``distance_transform_edt``'s bit for bit. The one pair runs as a
-    batch of one on ``_label_assd``'s pool.
+    batch of one on ``_assd_pairs``' pool.
     """
     check_same_grid(a, b)
     spacing = _spacing(a, b, spacing)
@@ -138,32 +134,28 @@ def assd(a, b, spacing=None) -> float:
     if not ma.any() or not mb.any():
         raise ValueError("surface distance is undefined for an empty mask")
     # find_objects takes no bool array; the uint8 views cost no copy
-    return _label_assd(ma.view(np.uint8), mb.view(np.uint8), spacing)([(1, 1)])[0]
+    return _assd_pairs(ma.view(np.uint8), mb.view(np.uint8), [(1, 1)], spacing)[0]
 
 
 def _labels(x) -> np.ndarray:
-    """The label array of ``x`` as int64, checked to hold whole numbers in
-    0..LABEL_MAX (bool and whole-number float arrays pass)."""
-    arr = as_array(x)
-    labels = arr.astype(np.int64)  # int64 + uint64 would be float
-    if labels.size and (labels.min() < 0 or labels.max() > LABEL_MAX or not np.array_equal(labels, arr)):
-        raise ValueError(f"labels must be whole numbers in 0..{LABEL_MAX}; found {arr.min()}..{arr.max()}")
-    return labels
+    """The label array of ``x`` as uint16, checked by ``checked_labels``
+    to hold whole numbers in 0..LABEL_MAX."""
+    return checked_labels(as_array(x), LABEL_MAX + 1).astype(np.uint16, copy=False)
 
 
 def _label_pairs(lp: np.ndarray, lr: np.ndarray) -> dict[tuple[int, int], int]:
-    """Voxel count of every (pred label, ref label) pair, background included."""
-    base = LABEL_MAX + 1
-    uniq, counts = np.unique(lp * base + lr, return_counts=True)
-    return {divmod(int(k), base): int(n) for k, n in zip(uniq, counts)}
+    """Voxel count of every (pred label, ref label) pair, background included;
+    each voxel's key is the uint32 ``(p << 16) | r``, exact for uint16 labels."""
+    uniq, counts = np.unique((lp.astype(np.uint32) << 16) | lr, return_counts=True)
+    return {(int(k) >> 16, int(k) & LABEL_MAX): int(n) for k, n in zip(uniq, counts)}
 
 
-def _compare(pred, ref, spacing=None):
-    """``(table, label_assd)`` of two label masks on one grid: their
-    ``_label_pairs`` table and their ``_label_assd``."""
+def _compare(pred, ref):
+    """``(lp, lr, table)`` of two label masks on one grid: their uint16
+    label arrays and their ``_label_pairs`` table."""
     check_same_grid(pred, ref)
     lp, lr = _labels(pred), _labels(ref)
-    return _label_pairs(lp, lr), _label_assd(lp, lr, _spacing(pred, ref, spacing))
+    return lp, lr, _label_pairs(lp, lr)
 
 
 def _sizes(table: dict) -> tuple[Counter, Counter]:
@@ -248,7 +240,7 @@ def match_instances(pred, ref, kind: str | None = None) -> InstanceMatching:
     order only arbitrates exact-threshold ties. ``kind`` restricts the
     matching to one id family (vertebra, ivd, endplate).
     """
-    return _match(_of_kind(_compare(pred, ref)[0], kind))
+    return _match(_of_kind(_compare(pred, ref)[2], kind))
 
 
 @dataclass
@@ -351,12 +343,13 @@ def wilcoxon_signed_rank(x, y, exact_limit: int = 25) -> WilcoxonResult:
 
 def semantic_report(pred, ref, spacing=None) -> dict:
     """Per-structure DSC (always) and ASSD (when both sides non-empty)."""
-    table, label_assd = _compare(pred, ref, spacing)
+    lp, lr, table = _compare(pred, ref)
+    spacing = _spacing(pred, ref, spacing)
     size_p, size_r = _sizes(table)
     names = {int(s): s.name.lower() for s in Structure}
     codes = sorted((set(size_p) | set(size_r)) - {0})
     both = [code for code in codes if size_p[code] and size_r[code]]
-    distances = dict(zip(both, label_assd([(code, code) for code in both])))
+    distances = dict(zip(both, _assd_pairs(lp, lr, [(code, code) for code in both], spacing)))
     return {
         names.get(code, str(code)): {
             "DSC": 2.0 * table.get((code, code), 0) / (size_p[code] + size_r[code]),
@@ -368,11 +361,12 @@ def semantic_report(pred, ref, spacing=None) -> dict:
 
 def instance_report(pred, ref, spacing=None) -> dict:
     """Panoptic scores plus global/instance-wise DSC and ASSD per id family."""
-    table, label_assd = _compare(pred, ref, spacing)
+    lp, lr, table = _compare(pred, ref)
+    spacing = _spacing(pred, ref, spacing)
     kind_tables = {kind: _of_kind(table, kind) for kind in INSTANCE_KINDS}
     matchings = {kind: _match(kind_table) for kind, kind_table in kind_tables.items()}
     pairs = [(p, r) for matching in matchings.values() for p, r, _ in matching.pairs]
-    distances = dict(zip(pairs, label_assd(pairs)))  # an id is in one family and one pair
+    distances = dict(zip(pairs, _assd_pairs(lp, lr, pairs, spacing)))  # an id is in one family and one pair
     out = {}
     for kind, kind_table in kind_tables.items():
         matching = matchings[kind]
@@ -397,9 +391,9 @@ def instance_report(pred, ref, spacing=None) -> dict:
 
 def evaluate_segmentation(pred_sem, ref_sem, pred_inst=None, ref_inst=None, spacing=None) -> dict:
     """Full evaluation report: semantic per-structure plus optional instance part."""
-    report = {"semantic": semantic_report(pred_sem, ref_sem, spacing=spacing)}
     if (pred_inst is None) != (ref_inst is None):
         raise ValueError("instance evaluation needs both predicted and reference volumes")
+    report = {"semantic": semantic_report(pred_sem, ref_sem, spacing=spacing)}
     if pred_inst is not None:
         report["instances"] = instance_report(pred_inst, ref_inst, spacing=spacing)
     return report

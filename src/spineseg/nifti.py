@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .labels import LABEL_MAX
+from .labels import LABEL_MAX, checked_labels
 from .volume import AXIS_CODES, Volume, checked_spacing, validate_orientation
 
 HEADER_SIZE = 348
@@ -193,8 +193,10 @@ def write_nifti(vol: Volume, path, *, compresslevel: int = _GZIP_LEVEL) -> None:
     validate_orientation(vol.orientation)
     data = np.asarray(vol.data)
     if vol.is_label:
-        if data.min() < 0 or data.max() > LABEL_MAX:
-            raise NiftiError("label values outside the unsigned 16-bit range")
+        try:
+            data = checked_labels(data, LABEL_MAX + 1)
+        except ValueError as err:
+            raise NiftiError(f"label volume does not fit unsigned 16-bit: {err}") from None
         dtype, datatype = np.dtype("<u2"), _LABEL_CODE
     else:
         dtype, datatype = np.dtype("<f4"), _INTENSITY_CODE

@@ -29,7 +29,7 @@ from .assembly import CUTOUT_SIZE, MIN_VOLUME_FRACTION, PredictorError, answers,
 from .labels import Structure
 from .nifti import read_nifti, write_nifti
 from .postproc import enforce_consistency
-from .volume import Volume, resample, to_canonical, usable_cpus
+from .volume import Volume, checked_spacing, resample, to_canonical, usable_cpus
 
 N_CLASSES = len(Structure)
 DEFAULT_SPACING = (0.75, 0.75, 1.65)
@@ -39,6 +39,14 @@ DEFAULT_SPACING = (0.75, 0.75, 1.65)
 _MAX_RUNNING = 2
 
 
+def _window_size(size, name: str) -> tuple[int, int, int]:
+    """``size`` as three ints; ValueError unless each is a whole number >= 1."""
+    out = tuple(int(n) for n in size)
+    if len(out) != 3 or min(out) < 1 or out != tuple(size):
+        raise ValueError(f"{name} must be 3 whole numbers >= 1, got {size!r}")
+    return out  # type: ignore[return-value]
+
+
 @dataclass(frozen=True)
 class TilingSpec:
     patch_size: tuple[int, int, int] = (256, 256, 64)
@@ -46,9 +54,7 @@ class TilingSpec:
     blend: str = "gaussian"
 
     def __post_init__(self):
-        if any(int(p) < 1 for p in self.patch_size):
-            raise ValueError("patch_size entries must be >= 1")
-        object.__setattr__(self, "patch_size", tuple(int(p) for p in self.patch_size))
+        object.__setattr__(self, "patch_size", _window_size(self.patch_size, "patch_size"))
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
         if self.blend not in ("gaussian", "uniform"):
@@ -333,6 +339,14 @@ class PipelineConfig:
     tiling: TilingSpec = TilingSpec()
     min_volume_fraction: float = MIN_VOLUME_FRACTION
     cutout_size: tuple[int, int, int] = CUTOUT_SIZE
+
+    def __post_init__(self):
+        if self.target_spacing is not None:
+            object.__setattr__(self, "target_spacing", checked_spacing(self.target_spacing, "target_spacing"))
+        # NaN fails this test too: it would drop every corpus component
+        if not 0.0 <= self.min_volume_fraction < math.inf:
+            raise ValueError(f"min_volume_fraction must be finite and >= 0, got {self.min_volume_fraction!r}")
+        object.__setattr__(self, "cutout_size", _window_size(self.cutout_size, "cutout_size"))
 
     def to_dict(self) -> dict:
         """Flat form for JSON, the tiling fields after ``target_spacing``."""

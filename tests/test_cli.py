@@ -225,7 +225,7 @@ class TestFuse:
         assert run_cli("fuse", "--base", paths[0], "--substructures", paths[1],
                        "--cord", paths[2], "--out", out_dir / "f.nii.gz") == 1
         assert list(out_dir.iterdir()) == []
-        assert f"{name} annotation holds label 20" in capsys.readouterr().err
+        assert f"{name} annotation: labels must be whole numbers in 0..14; found 0..20" in capsys.readouterr().err
 
 
 class TestSegment:

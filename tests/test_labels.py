@@ -1,9 +1,22 @@
-"""Instance-id families: the vertebra-id predicate and the structure -> id rule."""
+"""Instance-id families, the vertebra-id predicate, the structure -> id rule,
+and the one label rule every boundary that takes label arrays applies."""
 
 import numpy as np
 import pytest
 
-from spineseg.labels import Structure, classify_instance_id, is_vertebra_id, structure_instance_id
+from spineseg.assembly import PredictorError, check_answer
+from spineseg.fusion import AnnotationSources
+from spineseg.labels import (
+    LABEL_MAX,
+    Structure,
+    checked_labels,
+    classify_instance_id,
+    is_vertebra_id,
+    structure_instance_id,
+)
+from spineseg.metrics import evaluate_segmentation, instance_report, semantic_report
+from spineseg.nifti import NiftiError, write_nifti
+from spineseg.volume import Volume
 
 BOUNDARY_IDS = [0, 1, 99, 100, 101, 199, 200, 201, 299]
 #: the family each boundary id belongs to by the documented scheme, or None
@@ -70,3 +83,77 @@ def test_structure_id_on_arrays():
     assert is_vertebra_id(structure_instance_id(Structure.CORPUS, ks)).all()
     assert not is_vertebra_id(structure_instance_id(Structure.IVD, ks)).any()
     assert not is_vertebra_id(structure_instance_id(Structure.ENDPLATE, ks)).any()
+
+
+#: one bad value per case, set in an otherwise valid array; None stands
+#: for ``n_labels`` itself, the first value past the range
+BAD_LABELS = {
+    "minus-one": (np.int32, -1),
+    "n": (np.int32, None),
+    "fraction": (np.float32, 1.5),
+    "nan": (np.float64, np.nan),
+    "inf": (np.float64, np.inf),
+    "1e30": (np.float64, 1e30),
+    "complex": (np.complex128, 1),
+}
+
+
+def _label_array(dtype, value, n_labels):
+    arr = np.zeros((2, 3, 2), dtype=dtype)
+    arr[0, 1, 0] = n_labels if value is None else value
+    return arr
+
+
+def _written(arr, tmp_path):
+    # Volume refuses a non-integer label array, so the array is swapped
+    # into a valid label volume to reach write_nifti's own check
+    vol = Volume(np.zeros(arr.shape, dtype=np.uint16), kind="semantic")
+    object.__setattr__(vol, "data", arr)
+    write_nifti(vol, tmp_path / "labels.nii")
+
+
+def _fused(arr, tmp_path):
+    zeros = Volume(np.zeros(arr.shape, dtype=np.uint16), kind="semantic")
+    AnnotationSources(Volume(arr), zeros, zeros)
+
+
+#: name -> (n_labels, error type, call); each call passes ``arr`` through one
+#: boundary where the toolkit takes label arrays in
+BOUNDARIES = {
+    "check_answer": (15, PredictorError, lambda arr, tmp: check_answer(arr, arr.shape, 15)),
+    "semantic_report": (LABEL_MAX + 1, ValueError, lambda arr, tmp: semantic_report(arr, np.zeros(arr.shape, int))),
+    "instance_report": (LABEL_MAX + 1, ValueError, lambda arr, tmp: instance_report(np.zeros(arr.shape, int), arr)),
+    "evaluate_segmentation": (LABEL_MAX + 1, ValueError, lambda arr, tmp: evaluate_segmentation(arr, arr)),
+    "write_nifti": (LABEL_MAX + 1, NiftiError, _written),
+    "AnnotationSources": (len(Structure), ValueError, _fused),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("bad", BAD_LABELS)
+def test_every_boundary_rejects_the_same_label_arrays(boundary, bad, tmp_path):
+    n_labels, error, call = BOUNDARIES[boundary]
+    # check_answer names a non-numeric dtype before it knows labels from scores
+    with pytest.raises(error, match="labels must be whole numbers|values, not numbers"):
+        call(_label_array(*BAD_LABELS[bad], n_labels), tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float32])
+def test_every_boundary_takes_whole_numbers_in_range(boundary, dtype, tmp_path):
+    n_labels, _, call = BOUNDARIES[boundary]
+    # 14, the sacrum code, is also a vertebra id, so every boundary takes it
+    call(_label_array(dtype, 1 if dtype is bool else 14, n_labels), tmp_path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16, np.float32, np.float64])
+def test_checked_labels_returns_integers_unchanged_and_the_rest_as_uint16(dtype):
+    arr = _label_array(dtype, 1, 2)
+    out = checked_labels(arr, 2)
+    if np.dtype(dtype).kind in "iu":
+        assert out is arr
+    else:
+        assert out.dtype == np.uint16 and np.array_equal(out, arr)

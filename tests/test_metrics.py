@@ -397,6 +397,16 @@ class TestReports:
         with pytest.raises(ValueError):
             evaluate_segmentation(sem, sem, pred_inst=sem)
 
+    def test_one_sided_instance_pair_is_rejected_before_any_scoring(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("semantic_report ran before the instance pair was checked")
+
+        monkeypatch.setattr(metrics, "semantic_report", never)
+        sem = np.zeros((2, 2, 2), dtype=np.int32)
+        for one_sided in ({"pred_inst": sem}, {"ref_inst": sem}):
+            with pytest.raises(ValueError, match="needs both"):
+                evaluate_segmentation(sem, sem, **one_sided)
+
     def test_evaluate_combined(self):
         sem = place((2, 6, 2), (1, (slice(None), slice(0, 3), slice(None))))
         inst = place((2, 6, 2), (1, (slice(None), slice(0, 3), slice(None))))
@@ -579,9 +589,19 @@ class TestLabelPairTable:
             match_instances(arr, arr, kind="vertebra")
         assert match_instances(arr, arr).tp == 2  # kind=None classifies nothing
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "dtype, value",
-        [(np.int16, -1), (np.int64, -7), (np.int32, 65536), (np.uint32, 2**32 - 1), (np.float32, 1.5)],
+        [
+            (np.int16, -1),
+            (np.int64, -7),
+            (np.int32, 65536),
+            (np.uint32, 2**32 - 1),
+            (np.float32, 1.5),
+            (np.float64, np.nan),
+            (np.float32, np.inf),
+            (np.float64, 1e30),
+        ],
     )
     def test_labels_outside_the_stored_range_are_rejected(self, dtype, value):
         bad = np.zeros((2, 3, 2), dtype=dtype)

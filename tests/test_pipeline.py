@@ -113,6 +113,13 @@ class TestTileVolume:
         with pytest.raises(ValueError, match="patch_size"):
             TilingSpec(patch_size=(0, 16, 16))
 
+    @pytest.mark.parametrize(
+        "patch_size", [(8, 8), (8, 8, 8, 8), (8, 8.5, 8), (8, -1, 8)], ids=["2d", "4d", "fraction", "negative"]
+    )
+    def test_patch_size_is_three_whole_numbers(self, patch_size):
+        with pytest.raises(ValueError, match="patch_size must be 3 whole numbers >= 1"):
+            TilingSpec(patch_size=patch_size)
+
 
 class ConstantLabeler:
     """Labels every voxel of the patch with a fixed code."""
@@ -887,6 +894,34 @@ class TestRunPipeline:
         assert d["processing_dims"] == [256, 384, 64]
         assert d["assembly"]["groups"]
         json.dumps(d)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("cutout_size", (10, 10), "cutout_size must be 3 whole numbers"),
+            ("cutout_size", (0, 10, 10), "cutout_size must be 3 whole numbers"),
+            ("cutout_size", (-4, 10, 10), "cutout_size must be 3 whole numbers"),
+            ("cutout_size", (128, 10.5, 32), "cutout_size must be 3 whole numbers"),
+            ("target_spacing", (0, 1, 1), "target_spacing must be 3 finite positive reals"),
+            ("target_spacing", (float("nan"), 1, 1), "target_spacing must be 3 finite positive reals"),
+            ("min_volume_fraction", float("nan"), "min_volume_fraction must be finite and >= 0"),
+            ("min_volume_fraction", float("inf"), "min_volume_fraction must be finite and >= 0"),
+            ("min_volume_fraction", -0.1, "min_volume_fraction must be finite and >= 0"),
+        ],
+        ids=[
+            "cutout-2d", "cutout-zero", "cutout-negative", "cutout-fraction", "spacing-zero",
+            "spacing-nan", "fraction-nan", "fraction-inf", "fraction-negative",
+        ],
+    )
+    def test_config_is_checked_when_built(self, field, value, match):
+        # these used to surface only inside assemble, after a full semantic phase
+        with pytest.raises(ValueError, match=match):
+            PipelineConfig(**{field: value})
+
+    def test_config_keeps_valid_values(self):
+        cfg = PipelineConfig(target_spacing=[1, 2, 3], min_volume_fraction=0, cutout_size=[16, 16, 8])
+        assert cfg.target_spacing == (1.0, 2.0, 3.0) and cfg.cutout_size == (16, 16, 8)
+        assert PipelineConfig(target_spacing=None).target_spacing is None
 
     def test_config_serializes_flat_in_fixed_order(self):
         assert json.dumps(PipelineConfig().to_dict()) == (
