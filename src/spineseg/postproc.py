@@ -46,13 +46,18 @@ def foreground_equal(semantic, instance) -> bool:
 
 
 def _fill_label_holes(arr: np.ndarray) -> int:
-    """Fill enclosed cavities of each label in ascending order, in place;
-    returns voxels added.
+    """Fill the holes of each label in ascending order, in place; returns
+    voxels added.
 
-    Working inside a label's bounding box is exact: a cavity is surrounded
-    by the label, so it cannot reach past the tight box. Filling only turns
-    background into the label being filled, so no label's voxels change and
-    the boxes taken before the loop stay exact.
+    A label's holes are the 6-connected components of the voxels outside
+    it that reach no face of the volume; their unlabeled voxels take the
+    label. ``fill_holes`` on the label's tight bounding box finds them
+    exactly: a hole is enclosed by the label, so it lies inside the box,
+    and a component that reaches a face of the box reaches a face of the
+    volume, directly or through the space outside the box, which holds
+    none of the label. Filling only turns background into the label being
+    filled, so no label's voxels change and the boxes taken before the
+    loop stay exact.
     """
     added = 0
     for value, box in enumerate(ndi.find_objects(arr), start=1):

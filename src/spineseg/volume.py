@@ -53,6 +53,18 @@ def checked_spacing(spacing, name: str = "spacing") -> tuple[float, float, float
     return out  # type: ignore[return-value]
 
 
+def checked_window_size(size, name: str) -> tuple[int, int, int]:
+    """``size`` as three ints; ValueError unless each is a whole number >= 1."""
+    try:
+        out = tuple(int(n) for n in size)
+        whole = out == tuple(size)
+    except (TypeError, ValueError, OverflowError):
+        out, whole = (), False
+    if len(out) != 3 or not whole or min(out) < 1:
+        raise ValueError(f"{name} must be 3 whole numbers >= 1, got {size!r}")
+    return out  # type: ignore[return-value]
+
+
 @dataclass(frozen=True, eq=False)
 class Volume:
     """A dense 3D voxel grid with spacing (mm/voxel) and orientation.
@@ -238,40 +250,81 @@ def _structuring_element(connectivity: int) -> np.ndarray:
     raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
 
 
+def bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice] | None:
+    """The tight slice box around the True voxels of a 3D mask, or None
+    when it has none.
+
+    One ``any`` projection per axis: the first axis from whole planes,
+    the other two from the OR of all planes, so no reduction runs along
+    the short, contiguous last axis of the full mask.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    plane = mask.any(axis=0)
+    box = []
+    for hit in (mask.any(axis=(1, 2)), plane.any(axis=1), plane.any(axis=0)):
+        idx = np.flatnonzero(hit)
+        if idx.size == 0:
+            return None
+        box.append(slice(int(idx[0]), int(idx[-1]) + 1))
+    return tuple(box)  # type: ignore[return-value]
+
+
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentSet:
-    """Label connected components of a binary mask (6- or 26-connectivity)."""
+    """Label connected components of a binary mask (6- or 26-connectivity).
+
+    Only the mask's bounding box is labeled; ``labels`` is 0 outside it.
+    ``ndi.label`` numbers components in C order of their first voxel, and
+    C order within a box is C order of the grid, so the ids are those of
+    a whole-grid labeling.
+    """
     mask = np.asarray(mask) != 0
-    # ndi.label numbers components in C order of their first voxel
-    labels, n = ndi.label(mask, structure=_structuring_element(connectivity))
-    sizes, centroids = label_centroids(labels, n)
+    box = bounding_box(mask) or (slice(0, 0),) * mask.ndim
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    n = ndi.label(mask[box], structure=_structuring_element(connectivity), output=labels[box])
+    sizes, centroids = label_centroids(labels[box], n, origin=[b.start for b in box])
     centroids = [tuple(c) for c in centroids.tolist()]
     return ComponentSet(labels=labels, count=n, sizes=sizes, centroids=centroids)
 
 
-def label_centroids(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def label_centroids(labels: np.ndarray, n: int, origin=(0, 0, 0)) -> tuple[np.ndarray, np.ndarray]:
     """Voxel counts and index centroids of ids 1..n in one pass.
 
-    Returns ``(counts, centroids)``: row ``i`` describes id ``i + 1``, and
-    an id without voxels gets a NaN centroid. Each coordinate sum adds
-    integers in float64, which is exact, so a centroid equals the mean of
-    the id's ``np.nonzero`` indices bit for bit.
+    ``labels`` may be a box cut from a larger grid at index ``origin``;
+    centroids are then in the grid's indices. Returns ``(counts,
+    centroids)``: row ``i`` describes id ``i + 1``, and an id without
+    voxels gets a NaN centroid. The origin is added to the integer
+    indices before they are summed, and each coordinate sum adds integers
+    in float64, which is exact, so a centroid equals the mean of the id's
+    ``np.nonzero`` indices in the whole grid bit for bit. Adding the
+    origin to the mean instead would round.
     """
     where = np.nonzero(labels)
     ids = labels[where].astype(np.intp)
     counts = np.bincount(ids, minlength=n + 1)[1 : n + 1]
-    sums = [np.bincount(ids, weights=axis, minlength=n + 1)[1 : n + 1] for axis in where]
+    sums = [
+        np.bincount(ids, weights=axis + start, minlength=n + 1)[1 : n + 1]
+        for axis, start in zip(where, origin)
+    ]
     with np.errstate(invalid="ignore"):
         centroids = np.stack(sums, axis=1) / counts[:, None]
     return counts, centroids
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:
-    """Fill background cavities not connected to the volume boundary.
+    """Fill the holes of a mask: foreground never shrinks.
 
-    Background connectivity is 6; foreground never shrinks.
+    A hole is a 6-connected background component with no voxel on any of
+    the volume's six faces. One labeling of the background finds them all.
     """
     mask = np.asarray(mask) != 0
-    return ndi.binary_fill_holes(mask, structure=_structuring_element(6))
+    background, n = ndi.label(~mask, structure=_structuring_element(6))
+    outside = np.zeros(n + 1, dtype=bool)
+    for axis in range(mask.ndim):
+        for index in (0, -1):
+            outside[np.take(background, index, axis=axis)] = True
+    # id 0 is the foreground, also where it covers a face
+    outside[0] = False
+    return ~outside[background]
 
 
 def binary_erosion(mask: np.ndarray, radius: int) -> np.ndarray:

@@ -457,6 +457,25 @@ class TestVertebraCentroids:
             for vid, centroid in want.items():
                 assert got[vid].tobytes() == centroid.tobytes(), vid
 
+    def test_box_far_from_the_origin(self):
+        # centroids come from a box near the far corner of a full-size grid
+        rng = np.random.default_rng(13)
+        sem = np.zeros((256, 384, 64), dtype=np.uint16)
+        inst = np.zeros_like(sem)
+        far = (slice(197, 256), slice(301, 384), slice(37, 64))
+        inst[far] = np.where(rng.random(inst[far].shape) < 0.5, rng.choice([3, 40, 99, 140], size=inst[far].shape), 0)
+        sem[far] = np.where(rng.random(sem[far].shape) < 0.5, Structure.CORPUS, Structure.ARCUS)
+        sem[inst == 40] = Structure.ARCUS  # vertebra 40 has no corpus voxel
+        got = vertebra_centroids(sem, inst)
+        want = reference_vertebra_centroids(sem, inst)
+        assert list(got) == list(want) == [3, 40, 99]
+        for vid, centroid in want.items():
+            assert got[vid].tobytes() == centroid.tobytes(), vid
+
+    def test_no_vertebra_id(self):
+        inst = np.full((4, 5, 6), 101, dtype=np.uint16)
+        assert vertebra_centroids(np.ones_like(inst), inst) == {}
+
 
 class TestAssignAgainstReference:
     def test_random_layouts(self):
@@ -594,3 +613,34 @@ class TestAssembleEndToEnd:
 
         with pytest.raises(PredictorError, match=match):
             assemble(sem, Answer(), cutout_size=sem.dims)
+
+
+class TestCutoutSizeIsChecked:
+    """``assemble`` and ``make_cutouts`` check the window size themselves,
+    so a direct call with a bad size fails before any predictor call."""
+
+    BAD_SIZES = [(10, 10), (0, 10, 10), (12, 10.5, 8), (12, float("inf"), 8), (12, float("nan"), 8), 12]
+
+    class Never:
+        def predict(self, window, cutout):
+            raise AssertionError("the predictor was called")
+
+    @pytest.mark.parametrize("size", BAD_SIZES)
+    def test_assemble_raises_before_predicting(self, size):
+        data = np.zeros((12, 16, 8), dtype=np.uint16)
+        data[4:8, 6:10, 2:6] = Structure.CORPUS
+        with pytest.raises(ValueError, match=r"cutout_size must be 3 whole numbers >= 1"):
+            assemble(make_volume(data), self.Never(), cutout_size=size)
+
+    def test_assemble_checks_without_corpus(self):
+        with pytest.raises(ValueError, match="cutout_size"):
+            assemble(make_volume(np.zeros((12, 16, 8))), self.Never(), cutout_size=(10, 10))
+
+    @pytest.mark.parametrize("size", BAD_SIZES)
+    def test_make_cutouts_raises(self, size):
+        with pytest.raises(ValueError, match="cutout_size"):
+            make_cutouts([(6.0, 8.0, 4.0)], (12, 16, 8), size)
+
+    def test_whole_floats_are_taken_as_ints(self):
+        (cut,) = make_cutouts([(6.0, 8.0, 4.0)], (12, 16, 8), (12.0, np.int64(10), 8))
+        assert cut.size == (12, 10, 8) and all(type(n) is int for n in cut.size)

@@ -15,7 +15,7 @@ from spineseg.phantom import (
 )
 from spineseg.pipeline import predict_semantic
 from spineseg.postproc import enforce_consistency, foreground_equal
-from spineseg.volume import Volume, connected_components, fill_holes
+from spineseg.volume import Volume
 from test_acceptance import random_inconsistent_pair
 from conftest import bounding_box
 
@@ -48,7 +48,8 @@ def random_pair(rng, shape=(20, 28, 10)):
 
 def reference_consistency(sem, inst):
     """``enforce_consistency`` on arrays as a loop of per-label full-volume
-    scans; returns (semantic, instance, report dict)."""
+    scans, with scipy's own hole filling and labeling; returns (semantic,
+    instance, report dict)."""
     sem, inst = sem.copy(), inst.copy()
     relevant_codes = list(range(1, 12))
     report = {"holes_filled": 0, "zeroed": 0, "orphans_assigned": [], "demoted_semantic": 0}
@@ -57,7 +58,8 @@ def reference_consistency(sem, inst):
         for value in sorted(int(v) for v in np.unique(arr) if v != 0):
             mask = arr == value
             box = bounding_box(mask)
-            add = fill_holes(mask[box]) & (arr[box] == 0)
+            filled = ndi.binary_fill_holes(mask[box], structure=ndi.generate_binary_structure(3, 1))
+            add = filled & (arr[box] == 0)
             arr[box][add] = value
             report["holes_filled"] += int(add.sum())
 
@@ -79,9 +81,9 @@ def reference_consistency(sem, inst):
     for vid in sorted(int(v) for v in np.unique(inst) if 1 <= v < 100):
         corpus = (sem == Structure.CORPUS) & (inst == vid)
         height[vid] = float(np.nonzero(corpus if corpus.any() else inst == vid)[1].mean())
-    comps = connected_components(orphan, connectivity=26)
-    for ci in range(1, comps.count + 1):
-        comp = comps.labels == ci
+    labels, n = ndi.label(orphan, structure=np.ones((3, 3, 3), dtype=bool))
+    for ci in range(1, n + 1):
+        comp = labels == ci
         y = float(np.nonzero(comp)[1].mean())
         box = bounding_box(comp, margin=1)
         crop = comp[box]

@@ -8,6 +8,7 @@ from spineseg.nifti import read_nifti, write_nifti
 from spineseg.volume import (
     CANONICAL_ORIENTATION,
     Volume,
+    bounding_box,
     connected_components,
     fill_holes,
     overlap,
@@ -279,6 +280,51 @@ def oracle_components(mask, connectivity):
     return labels, next_id
 
 
+def edge_masks():
+    """Masks at the edges of the box and hole logic, by name."""
+    rng = np.random.default_rng(31)
+    masks = {
+        "all foreground": np.ones((4, 5, 3), dtype=bool),
+        "all background": np.zeros((4, 5, 3), dtype=bool),
+        "one voxel": np.ones((1, 1, 1), dtype=bool),
+    }
+    for shape in ((1, 7, 6), (6, 1, 5), (5, 6, 1), (1, 1, 9)):
+        masks[f"axis of length 1 {shape}"] = rng.random(shape) < 0.5
+    # a hollow box: once on the face x = 0 only, once touching no face
+    one_face = np.zeros((7, 7, 7), dtype=bool)
+    one_face[0:5, 1:6, 1:6] = True
+    one_face[1:4, 2:5, 2:5] = False
+    masks["touching one face"] = one_face
+    masks["touching no face"] = np.roll(one_face, 1, axis=0)
+    far = np.zeros((9, 10, 8), dtype=bool)
+    far[5:, 6:, 4:] = rng.random((4, 4, 4)) < 0.6
+    masks["box far from the origin"] = far
+    return masks
+
+
+def far_corner_voxel():
+    mask = np.zeros((256, 384, 64), dtype=bool)
+    mask[-1, -1, -1] = True
+    return mask
+
+
+class TestBoundingBox:
+    def test_against_index_extremes(self):
+        rng = np.random.default_rng(17)
+        masks = [rng.random(rng.integers(1, 9, size=3)) < p for p in (0.02, 0.1, 0.5, 1.0) for _ in range(20)]
+        masks += list(edge_masks().values())
+        for mask in masks:
+            nz = np.nonzero(mask)
+            want = None if nz[0].size == 0 else tuple(slice(int(a.min()), int(a.max()) + 1) for a in nz)
+            assert bounding_box(mask) == want
+
+    def test_empty_mask_has_no_box(self):
+        assert bounding_box(np.zeros((3, 4, 5), dtype=bool)) is None
+
+    def test_far_corner_voxel(self):
+        assert bounding_box(far_corner_voxel()) == (slice(255, 256), slice(383, 384), slice(63, 64))
+
+
 class TestConnectedComponents:
     def test_corner_touch_disconnected_at_6(self):
         mask = np.zeros((2, 2, 2), dtype=bool)
@@ -347,6 +393,43 @@ class TestConnectedComponents:
         cs = connected_components(np.zeros((3, 3, 3), dtype=bool))
         assert cs.count == 0
         assert not cs.labels.any()
+        assert cs.sizes.shape == (0,) and cs.centroids == []
+
+    @pytest.mark.parametrize("name", list(edge_masks()))
+    def test_edges_against_floodfill_oracle(self, name):
+        mask = edge_masks()[name]
+        for conn in (6, 26):
+            got = connected_components(mask, connectivity=conn)
+            want_labels, want_n = oracle_components(mask, conn)
+            assert got.count == want_n
+            assert got.labels.dtype == np.int32 and np.array_equal(got.labels, want_labels)
+            for ci in range(1, want_n + 1):
+                idx = np.nonzero(want_labels == ci)
+                assert got.centroids[ci - 1] == tuple(float(a.mean()) for a in idx)
+                assert got.sizes[ci - 1] == idx[0].size
+
+    def test_far_corner_voxel_of_a_full_size_grid(self):
+        mask = far_corner_voxel()
+        cs = connected_components(mask)
+        assert cs.count == 1 and list(cs.sizes) == [1]
+        assert cs.centroids == [(255.0, 383.0, 63.0)]
+        assert np.array_equal(cs.labels, mask.astype(np.int32))
+
+    def test_centroids_exact_in_a_box_far_from_the_origin(self):
+        # large coordinate sums from a box that starts far from index 0
+        rng = np.random.default_rng(23)
+        mask = np.zeros((256, 384, 64), dtype=bool)
+        for _ in range(10):
+            lo = rng.integers((181, 257, 29), (250, 378, 60))
+            hi = lo + rng.integers(1, (40, 60, 20))
+            mask[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = True
+        mask[248:, 376:, 56:] = rng.random((8, 8, 8)) < 0.3
+        cs = connected_components(mask, connectivity=6)
+        labels, n = ndi.label(mask, structure=ndi.generate_binary_structure(3, 1))
+        assert cs.count == n > 10 and np.array_equal(cs.labels, labels)
+        for ci in range(1, n + 1):
+            idx = np.nonzero(labels == ci)
+            assert cs.centroids[ci - 1] == tuple(float(a.mean()) for a in idx)
 
 
 def brute_force_overlap(origin_a, shape_a, origin_b, shape_b):
@@ -468,6 +551,24 @@ class TestFillHoles:
         mask = rng.random(size=(6, 6, 6)) < 0.5
         once = fill_holes(mask)
         assert np.array_equal(fill_holes(once), once)
+
+    @pytest.mark.parametrize("name", list(edge_masks()))
+    def test_edges_against_floodfill_oracle(self, name):
+        mask = edge_masks()[name]
+        assert np.array_equal(fill_holes(mask), oracle_fill_holes(mask))
+
+    def test_hollow_boxes_on_one_face_and_on_none_are_filled(self):
+        masks = edge_masks()
+        for name in ("touching one face", "touching no face"):
+            mask = masks[name]
+            assert fill_holes(mask).sum() == mask.sum() + 27
+
+    def test_no_background_stays_full(self):
+        assert fill_holes(np.ones((3, 4, 5), dtype=bool)).all()
+
+    def test_far_corner_voxel_of_a_full_size_grid(self):
+        mask = far_corner_voxel()
+        assert np.array_equal(fill_holes(mask), mask)
 
 
 class TestVolumeValidation:
