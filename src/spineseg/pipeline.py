@@ -79,7 +79,10 @@ def _blend_window(shape, blend: str) -> np.ndarray:
 
 
 def _accumulate(scores, w, out):
-    """Add one answer, blended by ``w``, to the class-first ``scores``."""
+    """Add one answer, blended by ``w``, to the class-first float32
+    ``scores`` of a cell that has had a score answer. A cell with label
+    answers alone never gets this buffer, 60 bytes a voxel: it holds
+    1-byte votes, and ``_vote_into`` scores only where they disagree."""
     if out.ndim == 3:
         # only the labeled class gains; the others would add 0.0, a no-op
         scores[(out, *np.indices(out.shape, sparse=True))] += w
@@ -95,6 +98,50 @@ def _argmax_into(labels, scores):
     for code in range(1, N_CLASSES):
         labels[scores[code] > best] = code
         np.maximum(best, scores[code], out=best)
+
+
+def _vote_into(labels, votes):
+    """Resolve a cell from its label answers alone, into ``labels``.
+
+    ``votes`` are ``(labels, w)`` pairs in accumulation order. Where every
+    vote agrees the cell takes that label: the blend window is positive,
+    so a class buffer would hold one positive class and zeros. Only the
+    voxels where a vote differs from the first get class scores, a compact
+    ``(15, n)`` array that gets the same float32 additions in the same
+    order as a cell buffer; ties go to the smaller class code."""
+    first = votes[0][0]
+    labels[...] = first
+    split = np.zeros(first.shape, dtype=bool)
+    for lab, _ in votes[1:]:
+        split |= lab != first
+    n = np.count_nonzero(split)
+    if n:
+        scores = np.zeros((N_CLASSES, n), dtype=np.float32)
+        columns = np.arange(n)
+        for lab, w in votes:
+            scores[lab[split], columns] += w[split]
+        labels[split] = np.argmax(scores, axis=0)
+
+
+def _add_to_cell(open_cells, cell, w, out):
+    """Add one answer's part ``out`` of ``cell``, blended by ``w``, to what
+    ``open_cells`` holds for the cell.
+
+    While the cell has had label answers alone it holds their votes, each
+    a uint8 copy (codes 0..14 fit, and no answer outlives its patch). The
+    first score answer opens a class-first buffer and replays the votes
+    into it, in order. The locals end with the call, so no vote outlives
+    its cell."""
+    held = open_cells.setdefault(cell, [])
+    if isinstance(held, list):
+        if out.ndim == 3:
+            held.append((out.astype(np.uint8), w))
+            return
+        votes = held
+        held = open_cells[cell] = _unbacked_zeros((N_CLASSES,) + cell[1])
+        for lab, wl in votes:
+            _accumulate(held, wl, lab)
+    _accumulate(held, w, out)
 
 
 def _unbacked_zeros(shape) -> np.ndarray:
@@ -142,12 +189,18 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec()) ->
     resolve to the smaller class code.
 
     The grid is cut into cells, the boxes between consecutive patch
-    starts and stops on each axis, so every patch covers whole cells.
-    Each cell gets a class-first float32 score buffer of its own size
-    (``_unbacked_zeros``) when its first patch answers, and is argmaxed
-    into the labels and freed once its last patch has been added. Each
-    voxel sees the same float32 additions in the same order, patch by
-    patch and member by member, as one full-grid buffer would.
+    starts and stops on each axis, so every patch covers whole cells. A
+    cell is resolved into the labels and freed once its last patch has
+    answered. While its answers are all labels it holds votes, 1 byte
+    per answer per voxel (a uint8 copy, so no answer outlives its patch)
+    instead of 60 bytes of class scores, and ``_vote_into`` gives class
+    scores only to the voxels where the votes disagree. The first score
+    answer opens a class-first float32 buffer (``_unbacked_zeros``) and
+    replays the votes into it. The window is positive, so a voxel where
+    every vote agrees has one positive class; every other voxel sees the
+    same float32 additions in the same order, patch by patch and member
+    by member, as one full-grid buffer would, so the labels are exactly
+    its argmax.
     """
     predictors = list(predictor) if isinstance(predictor, (list, tuple)) else [predictor]
     if not predictors:
@@ -166,18 +219,19 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec()) ->
         return vol.with_data(vol.data[_box(origin, shape)].copy())
 
     with closing(answers(predictors, cut, origins, shape, N_CLASSES, scores_ok=True)) as stream:
-        # patch by patch, member by member: the accumulation order is fixed
-        for i, (origin, outs) in enumerate(zip(origins, stream)):
-            for cell in patch_cells[i]:
-                if cell not in open_cells:
-                    open_cells[cell] = _unbacked_zeros((N_CLASSES,) + cell[1])
+        # patch by patch, member by member: the accumulation order is fixed.
+        # Not zip(origins, stream): its cached result tuple would keep the
+        # answers of patch i - 2 alive while patch i is predicted
+        for i, outs in enumerate(stream):
+            origin = origins[i]
             for out in outs:
                 for cell in patch_cells[i]:
                     local = _box([c - o for c, o in zip(cell[0], origin)], cell[1])
-                    _accumulate(open_cells[cell], w[local], out[(..., *local)])
+                    _add_to_cell(open_cells, cell, w[local], out[(..., *local)])
             for cell in patch_cells[i]:
                 if last[cell] == i:
-                    _argmax_into(labels[_box(*cell)], open_cells.pop(cell))
+                    resolve = _vote_into if isinstance(open_cells[cell], list) else _argmax_into
+                    resolve(labels[_box(*cell)], open_cells.pop(cell))
     return Volume(labels, vol.spacing, vol.orientation, "semantic")
 
 

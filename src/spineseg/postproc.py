@@ -17,7 +17,7 @@ import scipy.ndimage as ndi
 
 from .assembly import vertebra_above, vertebra_centroids
 from .labels import instance_relevant_codes, is_vertebra_id, structure_instance_id, writable_instances
-from .volume import Volume, as_array, check_same_grid, connected_components, fill_holes
+from .volume import Volume, as_array, bounding_box, check_same_grid, connected_components, fill_holes
 
 _RELEVANT = sorted(instance_relevant_codes())
 _RELEVANT_LO, _RELEVANT_HI = _RELEVANT[0], _RELEVANT[-1]
@@ -119,13 +119,15 @@ def enforce_consistency(semantic, instance):
     inst[stray] = 0
 
     orphan = relevant & (inst == 0)
-    if orphan.any():
+    outer = bounding_box(orphan)
+    if outer is not None:
         centroids = vertebra_centroids(sem, inst)
         comps = connected_components(orphan, connectivity=26)
-        for ci, box in enumerate(ndi.find_objects(comps.labels), start=1):
+        # the labels are 0 outside the orphans' box: find the components in it
+        for ci, box in enumerate(ndi.find_objects(comps.labels[outer]), start=1):
             box = tuple(
-                slice(max(0, b.start - 1), min(d, b.stop + 1))
-                for b, d in zip(box, orphan.shape)
+                slice(max(0, o.start + b.start - 1), min(d, o.start + b.stop + 1))
+                for o, b, d in zip(outer, box, orphan.shape)
             )
             comp = comps.labels[box] == ci
             target = _neighbor_majority(inst, comp, box)

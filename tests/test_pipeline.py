@@ -349,7 +349,32 @@ class TestTilingAgainstReference:
                    for m in range(int(rng.integers(1, 4)))]
         return make_volume(np.zeros(dims), kind="intensity"), members, spec
 
-    def test_labels_match_the_full_argmax(self):
+    def test_labels_match_the_full_argmax(self, monkeypatch):
+        # how each cell was resolved: by label votes alone, by a score buffer
+        # alone, or by a buffer that the votes so far were replayed into
+        resolved = {"votes": 0, "buffer": 0, "replayed": 0}
+        fresh = set()
+
+        def vote_into(labels, votes):
+            resolved["votes"] += 1
+            return vote_into.inner(labels, votes)
+
+        def unbacked_zeros(shape):
+            buf = unbacked_zeros.inner(shape)
+            fresh.add(id(buf))
+            return buf
+
+        def accumulate(scores, w, out):
+            # a fresh buffer's first addition is a replayed vote or the score answer
+            if id(scores) in fresh:
+                fresh.discard(id(scores))
+                resolved["replayed" if out.ndim == 3 else "buffer"] += 1
+            return accumulate.inner(scores, w, out)
+
+        for wrapper in (vote_into, unbacked_zeros, accumulate):
+            name = "_" + wrapper.__name__
+            wrapper.inner = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name, wrapper)
         rng = np.random.default_rng(11)
         kinds_seen, ties, infinities = set(), 0, 0
         for trial in range(100):
@@ -364,6 +389,7 @@ class TestTilingAgainstReference:
             infinities += int(np.isinf(raw).sum())
         assert kinds_seen == set(self.KINDS)
         assert ties > 1000 and infinities > 100
+        assert min(resolved.values()) > 0, resolved
 
     def test_ties_go_to_the_smaller_code(self):
         vol = make_volume(np.zeros((16, 4, 4)), kind="intensity")
@@ -392,10 +418,9 @@ class TestTilingAgainstReference:
             tracemalloc.stop()
         assert peak < 1.5 * buffer, (peak, buffer)
 
-    def test_label_tiling_holds_a_few_cells(self, monkeypatch):
-        # tracemalloc sees no mapped memory: give the cells traced buffers
-        monkeypatch.setattr(pipeline, "_unbacked_zeros", lambda shape: np.zeros(shape, dtype=np.float32))
-        # seven patches along axis 1 cut the grid into eight cells
+    def test_label_tiling_holds_a_few_cells(self):
+        # label votes are traced numpy arrays; seven patches along axis 1
+        # cut the grid into eight cells
         dims = (32, 192, 16)
         vol = make_volume(np.zeros(dims), kind="intensity")
         spec = TilingSpec(patch_size=(32, 48, 16), overlap=0.5)
@@ -411,6 +436,82 @@ class TestTilingAgainstReference:
             tracemalloc.stop()
         assert same_bits(got.data, want)
         assert peak < 0.5 * buffer, (peak, buffer)
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("dims, patch", [
+        ((8, 40, 8), (8, 16, 8)),  # overlap along one axis
+        ((20, 20, 20), (8, 8, 8)),  # overlap along all three
+    ], ids=["one-axis", "three-axes"])
+    def test_label_tiling_opens_no_score_buffer(self, members, dims, patch, monkeypatch):
+        def no_buffer(shape):
+            raise AssertionError(f"a score buffer of shape {shape} was opened")
+
+        vol = make_volume(np.zeros(dims), kind="intensity")
+        spec = TilingSpec(patch_size=patch, overlap=0.5)
+        predictors = [RandomAnswers(40 + m, "uint8") for m in range(members)]
+        want, _ = reference_predict_semantic(vol, predictors, spec)
+        monkeypatch.setattr(pipeline, "_unbacked_zeros", no_buffer)
+        assert same_bits(predict_semantic(vol, predictors, spec).data, want)
+
+    @pytest.mark.parametrize("kinds", [
+        ["uint8", "scores"],  # label votes, then a score answer in the same patch
+        ["scores", "uint16"],  # a score buffer, then label answers into it
+        ["late-scores"],  # labels on the first patch, scores on the later ones
+    ], ids=["label-then-score", "score-then-label", "score-on-a-later-patch"])
+    def test_score_answer_after_label_votes_matches_the_reference(self, kinds):
+        class LateScores:
+            def predict(self, patch, origin):
+                kind = "uint8" if origin == (0, 0, 0) else "scores"
+                return RandomAnswers(60, kind).predict(patch, origin)
+
+        vol = make_volume(np.zeros((12, 12, 12)), kind="intensity")
+        spec = TilingSpec(patch_size=(8, 8, 8), overlap=0.5)
+        predictors = [LateScores() if k == "late-scores" else RandomAnswers(50 + m, k)
+                      for m, k in enumerate(kinds)]
+        want, _ = reference_predict_semantic(vol, predictors, spec)
+        assert same_bits(predict_semantic(vol, predictors, spec).data, want)
+
+    @pytest.mark.parametrize("codes", [(9, 4), (4, 9)])
+    def test_disagreeing_labels_of_equal_weight_go_to_the_smaller_code(self, codes):
+        vol = make_volume(np.zeros((16, 4, 4)), kind="intensity")
+        spec = TilingSpec(patch_size=(8, 4, 4), overlap=0.5, blend="uniform")
+        out = predict_semantic(vol, [ConstantLabeler(c) for c in codes], spec)
+        assert (out.data == 4).all()
+
+    def test_no_label_answer_outlives_its_patch(self):
+        # every cell of the inner grid is covered by up to eight patches
+        vol = make_volume(np.zeros((20, 20, 20)), kind="intensity")
+        spec = TilingSpec(patch_size=(8, 8, 8), overlap=0.5)
+        stale = []
+
+        class Remembered:
+            def __init__(self):
+                self.given = []
+
+            def predict(self, patch, origin):
+                # the previous patch's answers may still be in flight
+                stale.extend(ref() is not None for ref in self.given[:-1])
+                out = np.zeros(patch.dims, dtype=np.uint8)
+                self.given.append(weakref.ref(out))
+                return out
+
+        members = [Remembered(), Remembered()]
+        predict_semantic(vol, members, spec)
+        assert [len(m.given) for m in members] == [4**3] * 2
+        assert stale and not any(stale)
+        assert all(ref() is None for m in members for ref in m.given)
+
+    @pytest.mark.parametrize("blend", ["gaussian", "uniform"])
+    def test_blend_window_is_positive(self, blend):
+        # each axis factor is at least exp(-8), so a window is at least
+        # exp(-24): a voxel where every label answer agrees has one positive class
+        floor = np.float32(np.exp(-8.0)) * np.float32(1 - 1e-6)
+        for n in range(1, 513):
+            for axis in range(3):
+                factor = _blend_window(tuple(n if a == axis else 1 for a in range(3)), blend)
+                assert factor.min() >= floor, (n, axis)
+        for shape in [(512, 512, 4), (7, 9, 8), (1, 2, 3)]:
+            assert _blend_window(shape, blend).min() >= floor ** 3 > 0, shape
 
     @pytest.mark.parametrize("members", [1, 3])
     def test_cut_patches_are_dropped_once_every_member_has_them(self, members):
