@@ -22,6 +22,7 @@ from .volume import (
     Volume,
     bounding_box,
     checked_window_size,
+    concurrently,
     connected_components,
     label_centroids,
     overlap,
@@ -37,6 +38,11 @@ LABEL_ABOVE, LABEL_CENTER, LABEL_BELOW = 1, 2, 3
 class PredictorError(RuntimeError):
     """A predictor failed or answered outside its contract; the message
     carries the diagnostics."""
+
+
+class TooManyVertebraeError(ValueError):
+    """The semantic mask has more corpus components than there are
+    vertebra ids, so no instance mask could tell them apart."""
 
 
 def check_answer(answer, shape, n_labels: int, scores_ok: bool = False) -> np.ndarray:
@@ -320,30 +326,33 @@ def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndar
     widened when its dtype cannot hold them.
     """
     inst = writable_instances(vertebra_instances)
-    centroids = vertebra_centroids(semantic.data, inst)
+    codes = (Structure.IVD, Structure.ENDPLATE)
+
+    def class_components(code):
+        return connected_components(semantic.data == code, connectivity=26)
+
+    # the centroids read inst, the class components only the semantic mask
+    centroids, *class_comps = concurrently(
+        partial(vertebra_centroids, semantic.data, inst), *[partial(class_components, code) for code in codes]
+    )
     flags = []
     if not centroids:
         return inst, [
             {"kind": "unassigned", "reason": "no vertebra instances", "code": int(code)}
-            for code in (Structure.IVD, Structure.ENDPLATE)
-            if (semantic.data == code).any()
+            for code, comps in zip(codes, class_comps)
+            if comps.count
         ]
 
-    for code in (Structure.IVD, Structure.ENDPLATE):
-        mask = semantic.data == code
-        box = bounding_box(mask)
-        if box is None:
-            continue
-        comps = connected_components(mask, connectivity=26)
+    for code, comps in zip(codes, class_comps):
         lut = np.zeros(comps.count + 1, dtype=inst.dtype)
         for ci, centroid in enumerate(comps.centroids, start=1):
             k, flagged = vertebra_above(centroids, centroid[1])
             if flagged:
                 flags.append({"kind": "no_vertebra_above", "code": int(code), "assigned_to": k})
             lut[ci] = structure_instance_id(code, k)
-        labels, region = comps.labels[box], inst[box]
-        free = (labels > 0) & (region == 0)
-        region[free] = lut[labels[free]]
+        region = inst[comps.box]
+        free = (comps.labels > 0) & (region == 0)
+        region[free] = lut[comps.labels[free]]
     return inst, flags
 
 
@@ -374,7 +383,9 @@ def assemble(
     answer with an integral label array of the window's shape with values
     in {0, 1, 2, 3} (integral floats are accepted). Any other answer,
     scores included, raises ``PredictorError`` (see ``check_answer``).
-    A ``cutout_size`` that is not 3 whole numbers >= 1 raises ValueError.
+    A ``cutout_size`` that is not 3 whole numbers >= 1 raises ValueError,
+    and more than ``VERTEBRA_ID_MAX`` corpus centres raise
+    ``TooManyVertebraeError`` before the predictor is called.
     """
     cutout_size = checked_window_size(cutout_size, "cutout_size")
     report = AssemblyReport()
@@ -388,6 +399,10 @@ def assemble(
     if not centers:
         report.warnings.append("no corpus components found; instance mask is empty")
         return empty, report
+    if len(centers) > VERTEBRA_ID_MAX:
+        raise TooManyVertebraeError(
+            f"{len(centers)} corpus components found; vertebra ids stop at {VERTEBRA_ID_MAX}"
+        )
 
     cutouts = make_cutouts(centers, semantic.dims, cutout_size)
     report.cutouts = [

@@ -38,6 +38,7 @@ _DTYPES = {
 _LABEL_CODE = 512  # uint16
 _INTENSITY_CODE = 16  # float32
 _GZIP_LEVEL = 1  # about 6x faster than level 9; a label mask still shrinks to about 2% of raw
+_COPY_SLAB = 16  # axis-1 planes per voxel copy in write_nifti
 
 
 class NiftiError(ValueError):
@@ -217,7 +218,11 @@ def write_nifti(vol: Volume, path, *, compresslevel: int = _GZIP_LEVEL) -> None:
     struct.pack_into("<4f", blob, 296, *affine[1])
     struct.pack_into("<4f", blob, 312, *affine[2])
     blob[344:348] = MAGIC_SINGLE
-    np.ndarray(vol.dims, dtype=dtype, buffer=blob, offset=HEADER_SIZE + 4, order="F")[...] = data
+    voxels = np.ndarray(vol.dims, dtype=dtype, buffer=blob, offset=HEADER_SIZE + 4, order="F")
+    # slabs along axis 1 keep the C-order source and the Fortran-order
+    # target near in memory; one whole-array copy strides across planes
+    for j in range(0, voxels.shape[1], _COPY_SLAB):
+        voxels[:, j : j + _COPY_SLAB] = data[:, j : j + _COPY_SLAB]
 
     if path.name.endswith(".gz"):
         with open(path, "wb") as raw:

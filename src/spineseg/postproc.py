@@ -11,13 +11,14 @@ the same voxel set.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.ndimage as ndi
 
 from .assembly import vertebra_above, vertebra_centroids
 from .labels import instance_relevant_codes, is_vertebra_id, structure_instance_id, writable_instances
-from .volume import Volume, as_array, bounding_box, check_same_grid, connected_components, fill_holes
+from .volume import Volume, as_array, check_same_grid, concurrently, connected_components, fill_holes
 
 _RELEVANT = sorted(instance_relevant_codes())
 _RELEVANT_LO, _RELEVANT_HI = _RELEVANT[0], _RELEVANT[-1]
@@ -99,8 +100,8 @@ def enforce_consistency(semantic, instance):
     inst = writable_instances(as_array(instance))
     report = ConsistencyReport()
 
-    report.holes_filled += _fill_label_holes(sem)
-    report.holes_filled += _fill_label_holes(inst)
+    # sem is a copy and inst another array, so their fills are independent
+    report.holes_filled += sum(concurrently(partial(_fill_label_holes, sem), partial(_fill_label_holes, inst)))
 
     relevant = _relevant_mask(sem)
     has_vertebra = bool((is_vertebra_id(inst) & relevant).any())
@@ -119,17 +120,17 @@ def enforce_consistency(semantic, instance):
     inst[stray] = 0
 
     orphan = relevant & (inst == 0)
-    outer = bounding_box(orphan)
-    if outer is not None:
-        centroids = vertebra_centroids(sem, inst)
-        comps = connected_components(orphan, connectivity=26)
-        # the labels are 0 outside the orphans' box: find the components in it
-        for ci, box in enumerate(ndi.find_objects(comps.labels[outer]), start=1):
-            box = tuple(
-                slice(max(0, o.start + b.start - 1), min(d, o.start + b.stop + 1))
-                for o, b, d in zip(outer, box, orphan.shape)
-            )
-            comp = comps.labels[box] == ci
+    if orphan.any():
+        # both only read sem, inst and orphan
+        centroids, comps = concurrently(
+            partial(vertebra_centroids, sem, inst), partial(connected_components, orphan, connectivity=26)
+        )
+        for ci, local in enumerate(ndi.find_objects(comps.labels), start=1):
+            # the component's box in the grid, then grown by one voxel for its contact shell
+            tight = [slice(o.start + b.start, o.start + b.stop) for o, b in zip(comps.box, local)]
+            box = tuple(slice(max(0, t.start - 1), min(d, t.stop + 1)) for t, d in zip(tight, orphan.shape))
+            margins = [(t.start - g.start, g.stop - t.stop) for t, g in zip(tight, box)]
+            comp = np.pad(comps.labels[local] == ci, margins)
             target = _neighbor_majority(inst, comp, box)
             if target == 0:
                 # no instance contact: key to the nearest vertebra above

@@ -9,6 +9,7 @@ of increasing index, so the canonical orientation is ("P", "I", "R").
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -233,10 +234,14 @@ class ComponentSet:
     """Connected components of a binary mask.
 
     Ids are 1..count with no gaps, ordered by each component's minimum
-    linear voxel index so the labeling is deterministic.
+    linear voxel index so the labeling is deterministic. ``labels`` holds
+    the ids of the mask's bounding box only, which sits at ``box`` in the
+    mask's grid; the grid is 0 outside it. An empty mask has an empty box
+    at the origin. Centroids are in the grid's indices.
     """
 
     labels: np.ndarray
+    box: tuple[slice, slice, slice]
     count: int
     sizes: np.ndarray
     centroids: list[tuple[float, float, float]]
@@ -272,18 +277,19 @@ def bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice] | None:
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentSet:
     """Label connected components of a binary mask (6- or 26-connectivity).
 
-    Only the mask's bounding box is labeled; ``labels`` is 0 outside it.
-    ``ndi.label`` numbers components in C order of their first voxel, and
-    C order within a box is C order of the grid, so the ids are those of
-    a whole-grid labeling.
+    Only the mask's bounding box is labeled and kept, as int32 (see
+    ``ComponentSet``). ``ndi.label`` numbers components in C order of
+    their first voxel, and C order within a box is C order of the grid,
+    so the ids are those of a whole-grid labeling.
     """
-    mask = np.asarray(mask) != 0
+    mask = np.asarray(mask, dtype=bool)
     box = bounding_box(mask) or (slice(0, 0),) * mask.ndim
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    n = ndi.label(mask[box], structure=_structuring_element(connectivity), output=labels[box])
-    sizes, centroids = label_centroids(labels[box], n, origin=[b.start for b in box])
+    crop = mask[box]
+    labels = np.empty(crop.shape, dtype=np.int32)
+    n = ndi.label(crop, structure=_structuring_element(connectivity), output=labels)
+    sizes, centroids = label_centroids(labels, n, origin=[b.start for b in box])
     centroids = [tuple(c) for c in centroids.tolist()]
-    return ComponentSet(labels=labels, count=n, sizes=sizes, centroids=centroids)
+    return ComponentSet(labels=labels, box=box, count=n, sizes=sizes, centroids=centroids)
 
 
 def label_centroids(labels: np.ndarray, n: int, origin=(0, 0, 0)) -> tuple[np.ndarray, np.ndarray]:
@@ -386,3 +392,21 @@ def usable_cpus() -> int:
     has one, else the machine's CPU count, else 1."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def concurrently(*calls) -> list:
+    """``[call() for call in calls]``, with the calls after the first run
+    in order on one worker thread while the first runs on this one.
+
+    Every call runs here, in order, when fewer than two CPUs are usable.
+    A call's exception reaches the caller, and the worker has ended when
+    this returns or raises. One worker, not one per CPU: each thread that
+    allocates gets its own malloc arena, which keeps the pages of the
+    temporaries freed in it.
+    """
+    if len(calls) < 2 or usable_cpus() < 2:
+        return [call() for call in calls]
+    with ThreadPoolExecutor(1) as worker:
+        rest = worker.submit(lambda: [call() for call in calls[1:]])
+        first = calls[0]()
+        return [first, *rest.result()]

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+import spineseg.volume
 from spineseg.fusion import AnnotationSources, merge_sources, synthesize_endplates
 from spineseg.labels import Structure
 from spineseg.phantom import PhantomSpec, generate_phantom
@@ -16,6 +19,29 @@ def standard_phantom():
 def fused_phantom():
     """Five vertebrae with 2 and 3 fused into one unit."""
     return generate_phantom(PhantomSpec(n_vertebrae=5, fuse_pairs=((2, 3),), seed=7))
+
+
+@pytest.fixture
+def at_cpus(monkeypatch):
+    """``at_cpus(n, fn, spied)`` calls ``fn()`` with ``usable_cpus`` patched
+    to return ``n``; returns ``fn()``'s result and whether any of the
+    ``(module, name)`` functions in ``spied`` ran off the calling thread."""
+
+    def run(n, fn, spied=()):
+        caller = threading.get_ident()
+        elsewhere = []
+        with monkeypatch.context() as m:
+            m.setattr(spineseg.volume, "usable_cpus", lambda: n)
+            for module, name in spied:
+
+                def spy(*args, _inner=getattr(module, name), **kwargs):
+                    elsewhere.append(threading.get_ident() != caller)
+                    return _inner(*args, **kwargs)
+
+                m.setattr(module, name, spy)
+            return fn(), any(elsewhere)
+
+    return run
 
 
 def bounding_box(mask, margin=0):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
+import spineseg.assembly as assembly
 from spineseg.assembly import (
     Cutout,
     PredictorError,
+    TooManyVertebraeError,
     VertebraGroup,
     WindowMask,
     assemble,
@@ -494,6 +496,32 @@ class TestAssignAgainstReference:
             assert got_flags == want_flags
 
 
+class TestAssignCpuCount:
+    def test_same_outputs_at_one_and_two_cpus(self, at_cpus, standard_phantom):
+        """The centroids run on the calling thread and the disc and
+        endplate components on a worker when two CPUs are usable."""
+        rng = np.random.default_rng(8)
+        sem_codes = [Structure.CORPUS, Structure.ARCUS, Structure.IVD, Structure.ENDPLATE]
+        cases = []
+        for _ in range(30):
+            shape = (14, 40, 10)
+            sem = random_boxes(rng, np.zeros(shape, np.uint16), sem_codes, int(rng.integers(3, 14)))
+            inst = random_boxes(rng, np.zeros(shape, np.uint16), [1, 2, 3, 7, 99], int(rng.integers(0, 9)))
+            cases.append((make_volume(sem), inst))
+        _, sem, inst = standard_phantom
+        cases.append((sem, np.where(inst.data < IVD_ID_BASE, inst.data, 0)))
+        spied = [(assembly, "connected_components")]
+        runs = [
+            at_cpus(n, lambda: [assign_disc_endplate_instances(s, i) for s, i in cases], spied) for n in (1, 2)
+        ]
+        (one, worker_at_one), (two, worker_at_two) = runs
+        assert not worker_at_one and worker_at_two
+        assert np.array_equal(one[-1][0], inst.data)
+        for (i1, f1), (i2, f2) in zip(one, two):
+            assert i1.dtype == i2.dtype and np.array_equal(i1, i2)
+            assert f1 == f2
+
+
 class TestAssembleEndToEnd:
     def test_zero_noise_reconstruction_is_exact(self, standard_phantom):
         _, sem, inst = standard_phantom
@@ -613,6 +641,38 @@ class TestAssembleEndToEnd:
 
         with pytest.raises(PredictorError, match=match):
             assemble(sem, Answer(), cutout_size=sem.dims)
+
+
+class TestTooManyVertebrae:
+    def test_more_corpora_than_vertebra_ids_fail_before_predicting(self):
+        # 105 separate 4x2x4 corpus blocks, one voxel apart
+        data = np.zeros((25, 63, 5), dtype=np.uint16)
+        for x in range(0, 25, 5):
+            for y in range(0, 63, 3):
+                data[x : x + 4, y : y + 2, 0:4] = Structure.CORPUS
+        sem = make_volume(data)
+        assert len(find_corpus_centers(sem)) == 105
+
+        class Never:
+            def predict(self, window, cutout):
+                raise AssertionError("the predictor was called")
+
+        with pytest.raises(TooManyVertebraeError, match="105 corpus components"):
+            assemble(sem, Never(), cutout_size=(8, 8, 5))
+
+    def test_vertebra_id_max_corpora_still_assemble(self):
+        data = np.zeros((25, 60, 5), dtype=np.uint16)
+        for x in range(0, 25, 5):
+            for y in range(0, 60, 3):
+                data[x : x + 4, y : y + 2, 0:4] = Structure.CORPUS
+        data[20:24, 57:59] = 0  # 99 blocks left
+
+        class Center:
+            def predict(self, window, cutout):
+                return np.where(window.data == Structure.CORPUS, 2, 0)
+
+        out, report = assemble(make_volume(data), Center(), cutout_size=(8, 8, 5))
+        assert len(report.cutouts) == 99 and out.data.max() == 99
 
 
 class TestCutoutSizeIsChecked:

@@ -148,6 +148,24 @@ class TestRoundTrip:
             write_nifti(Volume(data, (0.75, 0.75, 1.65), ("P", "I", "R"), kind=kind), path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == want[name], name
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 37, 1), (5, 1, 3), (3, 16, 2), (4, 33, 5), (2, 50, 1)])
+    def test_voxels_equal_one_fortran_order_copy(self, shape, tmp_path):
+        # write_nifti copies the voxels in slabs along axis 1; the bytes
+        # must be those of one whole-array copy, whatever the axis length
+        rng = np.random.default_rng(sum(shape))
+        cases = [
+            ("semantic", rng.integers(0, 65536, size=shape).astype(np.uint16), "<u2"),
+            ("instance", rng.integers(0, 300, size=shape[::-1]).astype(np.int64).T, "<u2"),
+            ("intensity", rng.normal(size=shape).astype(np.float32), "<f4"),
+            ("intensity", rng.normal(size=shape), "<f4"),
+        ]
+        for kind, data, dtype in cases:
+            path = tmp_path / "v.nii"
+            write_nifti(Volume(data, kind=kind), path)
+            want = np.empty(data.shape, dtype=dtype, order="F")
+            want[...] = data
+            assert path.read_bytes()[352:] == want.tobytes(order="F"), (kind, data.dtype)
+
     def test_label_range_guard(self, tmp_path):
         vol = Volume(np.full((2, 2, 2), 70000, dtype=np.int64), kind="instance")
         with pytest.raises(NiftiError):

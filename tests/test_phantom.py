@@ -130,7 +130,7 @@ class TestGeneratePhantom:
         comps = connected_components(sem.data == Structure.SPINOUS_PROCESS, connectivity=26)
         assert comps.count == 6
         order = sorted(range(comps.count), key=lambda i: comps.centroids[i][1])
-        ids = [int(np.unique(inst.data[comps.labels == i + 1]).item()) for i in order]
+        ids = [int(np.unique(inst.data[comps.box][comps.labels == i + 1]).item()) for i in order]
         assert ids == [1, 1, 2, 3, 3, 4]
 
     def test_intensity_tracks_structure(self, standard_phantom):
@@ -277,7 +277,7 @@ def reference_corrupt_binary(mask, noise, rng, spacing):
         comps = connected_components(sub, connectivity=26)
         for cid in range(1, comps.count + 1):
             if rng.random() < noise.p_labeldrop:
-                sub[comps.labels == cid] = False
+                sub[comps.box][comps.labels == cid] = False
     if rng.random() < noise.p_downup and sub is not None:
         down = sub[::2, ::2, ::2]
         up = np.repeat(np.repeat(np.repeat(down, 2, axis=0), 2, axis=1), 2, axis=2)

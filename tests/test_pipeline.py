@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 import spineseg
+import spineseg.assembly as assembly
 import spineseg.pipeline as pipeline
+import spineseg.postproc as postproc
 from spineseg.assembly import assemble, check_answer
 from spineseg.labels import Structure
 from spineseg.nifti import write_nifti
-from spineseg.phantom import NoiseSpec, OracleInstancePredictor, OracleSemanticPredictor
+from spineseg.phantom import NoiseSpec, OracleInstancePredictor, OracleSemanticPredictor, PhantomSpec, generate_phantom
 from spineseg.pipeline import (
     ExternalInstancePredictor,
     ExternalPredictor,
@@ -942,6 +944,22 @@ class TestRunPipeline:
         assert report.consistency["zeroed"] == 0
         assert set(report.timings_s) == {"prepare", "semantic", "instance", "consistency"}
         assert foreground_equal(sem_out, inst_out)
+
+    def test_same_outputs_at_one_and_two_cpus(self, at_cpus):
+        img, sem, inst = generate_phantom(PhantomSpec(n_vertebrae=5, dims=(128, 208, 32), seed=5))
+        noise = NoiseSpec(seed=1)
+        cfg = PipelineConfig(cutout_size=(128, 304, 32))
+
+        def run():
+            return run_pipeline(img, OracleSemanticPredictor(sem, noise), OracleInstancePredictor(inst, sem, noise), cfg)
+
+        spied = [(assembly, "connected_components"), (postproc, "_fill_label_holes")]
+        (one, worker_at_one), (two, worker_at_two) = (at_cpus(n, run, spied) for n in (1, 2))
+        assert not worker_at_one and worker_at_two
+        for a, b in zip(one[:2], two[:2]):
+            assert a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
+        reports = [{**r.to_dict(), "timings_s": None} for r in (one[2], two[2])]
+        assert reports[0] == reports[1] and reports[0]["consistency"]["orphans_assigned"]
 
     def test_non_canonical_input_is_reoriented(self, standard_phantom):
         img, sem, inst = standard_phantom

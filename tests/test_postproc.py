@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
+import spineseg.postproc as postproc
 from spineseg.assembly import assemble
 from spineseg.labels import Structure, endplate_id, ivd_id
 from spineseg.phantom import (
@@ -350,3 +351,32 @@ class TestEnforceConsistency:
         b = Volume(np.zeros((4, 4, 4), dtype=np.uint16), (2.0, 2.0, 2.0), ("P", "I", "R"), "instance")
         with pytest.raises(ValueError, match="grid"):
             enforce_consistency(a, b)
+
+
+class TestCpuCount:
+    """The hole fills, and then the centroids and orphan components, run
+    in pairs on two threads when two CPUs are usable; nothing else may
+    change."""
+
+    @staticmethod
+    def damaged_phantom(phantom):
+        _, sem, inst = phantom
+        sem, inst = sem.data.copy(), inst.data.copy()
+        inst[(inst == 3) & (np.arange(sem.shape[1]) % 3 == 0)[None, :, None]] = 0  # orphans with contact
+        inst[np.isin(inst, [102, 203])] = 0  # whole structures left to adopt
+        inner = np.argwhere(ndi.binary_erosion(sem == Structure.CORPUS))
+        sem[tuple(inner[len(inner) // 2])] = inst[tuple(inner[len(inner) // 3])] = 0  # a hole in each mask
+        return sem, inst
+
+    def test_same_outputs_at_one_and_two_cpus(self, at_cpus, standard_phantom):
+        rng = np.random.default_rng(21)
+        pairs = [random_pair(rng) for _ in range(30)] + [self.damaged_phantom(standard_phantom)]
+        spied = [(postproc, "_fill_label_holes"), (postproc, "connected_components")]
+        runs = [at_cpus(n, lambda: [enforce_consistency(s, i) for s, i in pairs], spied) for n in (1, 2)]
+        (one, worker_at_one), (two, worker_at_two) = runs
+        assert not worker_at_one and worker_at_two
+        assert one[-1][2].holes_filled == 2 and len(one[-1][2].orphans_assigned) > 20
+        for (s1, i1, r1), (s2, i2, r2) in zip(one, two):
+            assert s1.dtype == s2.dtype and np.array_equal(s1, s2)
+            assert i1.dtype == i2.dtype and np.array_equal(i1, i2)
+            assert r1.to_dict() == r2.to_dict()

@@ -1,14 +1,19 @@
 """Volume core ops against brute-force oracles."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
+import spineseg.volume
 from spineseg.nifti import read_nifti, write_nifti
 from spineseg.volume import (
     CANONICAL_ORIENTATION,
     Volume,
     bounding_box,
+    concurrently,
     connected_components,
     fill_holes,
     overlap,
@@ -325,6 +330,17 @@ class TestBoundingBox:
         assert bounding_box(far_corner_voxel()) == (slice(255, 256), slice(383, 384), slice(63, 64))
 
 
+def assert_box_labels(cs, want_labels):
+    """``cs.labels`` is the oracle's whole-grid labeling cut to ``cs.box``,
+    the oracle has no component outside that box, and the box is tight."""
+    assert cs.labels.dtype == np.int32
+    assert np.array_equal(cs.labels, want_labels[cs.box])
+    outside = want_labels.copy()
+    outside[cs.box] = 0
+    assert not outside.any()
+    assert cs.box == (bounding_box(want_labels > 0) or (slice(0, 0),) * 3)
+
+
 class TestConnectedComponents:
     def test_corner_touch_disconnected_at_6(self):
         mask = np.zeros((2, 2, 2), dtype=bool)
@@ -349,7 +365,7 @@ class TestConnectedComponents:
                 got = connected_components(mask, connectivity=conn)
                 want_labels, want_n = oracle_components(mask, conn)
                 assert got.count == want_n
-                assert np.array_equal(got.labels, want_labels)
+                assert_box_labels(got, want_labels)
 
     def test_ids_ordered_by_min_linear_index(self):
         mask = np.zeros((1, 1, 9), dtype=bool)
@@ -358,9 +374,8 @@ class TestConnectedComponents:
         mask[0, 0, 3] = True
         cs = connected_components(mask, connectivity=6)
         assert cs.count == 3
-        assert cs.labels[0, 0, 0] == 1
-        assert cs.labels[0, 0, 3] == 2
-        assert cs.labels[0, 0, 6] == 3
+        assert cs.box == (slice(0, 1), slice(0, 1), slice(0, 7))
+        assert cs.labels.tolist() == [[[1, 0, 0, 2, 0, 0, 3]]]
 
     def test_sizes_and_centroids(self):
         mask = np.zeros((4, 4, 4), dtype=bool)
@@ -384,15 +399,18 @@ class TestConnectedComponents:
         for mask in masks:
             cs = connected_components(mask, connectivity=6)
             assert cs.count > 0
+            labels, n = ndi.label(mask, structure=ndi.generate_binary_structure(3, 1))
+            assert cs.count == n
+            assert_box_labels(cs, labels)
             for ci in range(1, cs.count + 1):
-                idx = np.nonzero(cs.labels == ci)
+                idx = np.nonzero(labels == ci)
                 assert cs.centroids[ci - 1] == tuple(float(a.mean()) for a in idx)
                 assert cs.sizes[ci - 1] == idx[0].size
 
     def test_empty_mask(self):
         cs = connected_components(np.zeros((3, 3, 3), dtype=bool))
         assert cs.count == 0
-        assert not cs.labels.any()
+        assert cs.box == (slice(0, 0),) * 3 and cs.labels.shape == (0, 0, 0)
         assert cs.sizes.shape == (0,) and cs.centroids == []
 
     @pytest.mark.parametrize("name", list(edge_masks()))
@@ -402,7 +420,7 @@ class TestConnectedComponents:
             got = connected_components(mask, connectivity=conn)
             want_labels, want_n = oracle_components(mask, conn)
             assert got.count == want_n
-            assert got.labels.dtype == np.int32 and np.array_equal(got.labels, want_labels)
+            assert_box_labels(got, want_labels)
             for ci in range(1, want_n + 1):
                 idx = np.nonzero(want_labels == ci)
                 assert got.centroids[ci - 1] == tuple(float(a.mean()) for a in idx)
@@ -413,7 +431,8 @@ class TestConnectedComponents:
         cs = connected_components(mask)
         assert cs.count == 1 and list(cs.sizes) == [1]
         assert cs.centroids == [(255.0, 383.0, 63.0)]
-        assert np.array_equal(cs.labels, mask.astype(np.int32))
+        assert_box_labels(cs, mask.astype(np.int32))
+        assert cs.labels.shape == (1, 1, 1)
 
     def test_centroids_exact_in_a_box_far_from_the_origin(self):
         # large coordinate sums from a box that starts far from index 0
@@ -426,10 +445,72 @@ class TestConnectedComponents:
         mask[248:, 376:, 56:] = rng.random((8, 8, 8)) < 0.3
         cs = connected_components(mask, connectivity=6)
         labels, n = ndi.label(mask, structure=ndi.generate_binary_structure(3, 1))
-        assert cs.count == n > 10 and np.array_equal(cs.labels, labels)
+        assert cs.count == n > 10
+        assert_box_labels(cs, labels)
         for ci in range(1, n + 1):
             idx = np.nonzero(labels == ci)
             assert cs.centroids[ci - 1] == tuple(float(a.mean()) for a in idx)
+
+    def test_memory_is_set_by_the_box_not_the_grid(self):
+        mask = np.zeros((256, 384, 64), dtype=bool)
+        mask[3:11, 5:21, 2:10] = np.random.default_rng(2).random((8, 16, 8)) < 0.4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cs = connected_components(mask)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert cs.box == (slice(3, 11), slice(5, 21), slice(2, 10))
+        # about 27 KB: 4 KB of box labels plus the axis projections of the
+        # grid; a whole-grid int32 labeling peaked at 31 MB
+        assert peak < 256 * 1024, peak
+
+
+class TestConcurrently:
+    @staticmethod
+    def recorder(log, name):
+        def call():
+            log.append((name, threading.get_ident()))
+            return name
+
+        return call
+
+    def test_first_here_rest_in_order_on_one_worker(self, monkeypatch):
+        monkeypatch.setattr(spineseg.volume, "usable_cpus", lambda: 2)
+        log = []
+        before = threading.active_count()
+        out = concurrently(*(self.recorder(log, name) for name in "abcd"))
+        assert out == ["a", "b", "c", "d"]
+        threads = dict(log)
+        assert threads["a"] == threading.get_ident()
+        assert threads["b"] == threads["c"] == threads["d"] != threading.get_ident()
+        assert [name for name, _ in log if name != "a"] == ["b", "c", "d"]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus, names", [(1, "abc"), (2, "a")], ids=["one-cpu", "one-call"])
+    def test_runs_here_in_order(self, monkeypatch, cpus, names):
+        monkeypatch.setattr(spineseg.volume, "usable_cpus", lambda: cpus)
+        log = []
+        assert concurrently(*(self.recorder(log, name) for name in names)) == list(names)
+        assert log == [(name, threading.get_ident()) for name in names]
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_an_exception_reaches_the_caller_and_no_thread_is_left(self, monkeypatch, failing):
+        monkeypatch.setattr(spineseg.volume, "usable_cpus", lambda: 2)
+        log = []
+
+        def fail():
+            log.append(("fail", threading.get_ident()))
+            raise KeyError("from a task")
+
+        calls = [self.recorder(log, name) for name in "abc"]
+        calls[failing] = fail
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="from a task"):
+            concurrently(*calls)
+        assert threading.active_count() == before
+        assert len({thread for _, thread in log}) == 2
 
 
 def brute_force_overlap(origin_a, shape_a, origin_b, shape_b):
