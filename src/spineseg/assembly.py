@@ -328,13 +328,12 @@ def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndar
     inst = writable_instances(vertebra_instances)
     codes = (Structure.IVD, Structure.ENDPLATE)
 
-    def class_components(code):
-        return connected_components(semantic.data == code, connectivity=26)
+    def class_components():
+        return [connected_components(semantic.data == code, connectivity=26) for code in codes]
 
-    # the centroids read inst, the class components only the semantic mask
-    centroids, *class_comps = concurrently(
-        partial(vertebra_centroids, semantic.data, inst), *[partial(class_components, code) for code in codes]
-    )
+    # the centroids read inst, the class components only the semantic mask;
+    # one call labels both classes, so one thread does
+    centroids, class_comps = concurrently(partial(vertebra_centroids, semantic.data, inst), class_components)
     flags = []
     if not centroids:
         return inst, [

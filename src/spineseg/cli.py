@@ -15,6 +15,7 @@ import csv
 import inspect
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -433,9 +434,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signum, frame):
+    sys.exit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A terminated run unwinds like an interrupted one: the exec: commands
+    # still running are killed and waited for, and their exchange files
+    # deleted. An ignored signal (nohup) stays ignored, and the caller's
+    # own handlers come back afterwards.
+    previous = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGHUP)}
+    for signum, handler in previous.items():
+        if handler is not signal.SIG_IGN:
+            signal.signal(signum, _exit_on_signal)
     try:
         return args.func(args)
     except UsageError as e:
@@ -444,6 +457,9 @@ def main(argv=None) -> int:
     except RunError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import ndimage as ndi
 
 from .labels import LABEL_MAX, Structure, checked_labels, classify_instance_id
-from .volume import Volume, as_array, check_same_grid, checked_spacing, usable_cpus
+from .volume import Volume, as_array, check_same_grid, checked_spacing, concurrently
 
 INSTANCE_KINDS = ("vertebra", "ivd", "endplate")
 
@@ -97,10 +97,9 @@ def _assd_pairs(lp: np.ndarray, lr: np.ndarray, pairs: list[tuple[int, int]], sp
     """The ASSD of ``lp == p`` against ``lr == r`` for each ``(p, r)`` of
     ``pairs``, labels present on both sides, in input order. Each pair's
     masks are cut from the union box of its two labels; the boxes come
-    from one ``find_objects`` per side and call. The pairs run on a thread
-    pool as wide as the usable CPUs (scipy's transforms release the GIL),
-    opened and closed by each call; every value is the same whatever the
-    width."""
+    from one ``find_objects`` per side and call. The pairs run through
+    ``concurrently`` (scipy's transforms release the GIL); every value is
+    the same whatever the width."""
     if not pairs:
         return []
     boxes_p, boxes_r = ndi.find_objects(lp), ndi.find_objects(lr)
@@ -110,8 +109,7 @@ def _assd_pairs(lp: np.ndarray, lr: np.ndarray, pairs: list[tuple[int, int]], sp
         box = _union_box(boxes_p[p - 1], boxes_r[r - 1], lp.shape)
         return _surface_distance(lp[box] == p, lr[box] == r, spacing)
 
-    with ThreadPoolExecutor(min(len(pairs), usable_cpus())) as pool:
-        return list(pool.map(one, pairs))
+    return concurrently(*(partial(one, pair) for pair in pairs))
 
 
 def assd(a, b, spacing=None) -> float:
@@ -126,7 +124,7 @@ def assd(a, b, spacing=None) -> float:
     edge, so each voxel is surface in the box exactly when it is in the
     whole volume. Distances are read at surface voxels only, and equal
     ``distance_transform_edt``'s bit for bit. The one pair runs as a
-    batch of one on ``_assd_pairs``' pool.
+    batch of one, on the calling thread.
     """
     check_same_grid(a, b)
     spacing = _spacing(a, b, spacing)

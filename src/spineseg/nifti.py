@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,14 @@ def _open_for_read(path: Path):
     with open(path, "rb") as raw:
         gzipped = raw.read(2) == b"\x1f\x8b"
     return gzip.open(path, "rb") if gzipped else open(path, "rb")
+
+
+def _read(fh, size: int, path: Path) -> bytes:
+    """``fh.read(size)``, with a corrupt or cut gzip stream as NiftiError."""
+    try:
+        return fh.read(size)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+        raise NiftiError(f"{path.name}: corrupt gzip stream: {e}") from None
 
 
 def _affine_to_codes(affine3: np.ndarray) -> tuple[str, str, str]:
@@ -91,7 +100,7 @@ def read_nifti(path, kind: str | None = None) -> Volume:
     """
     path = Path(path)
     with _open_for_read(path) as fh:
-        header = fh.read(HEADER_SIZE)
+        header = _read(fh, HEADER_SIZE, path)
         if len(header) < HEADER_SIZE:
             raise NiftiError(f"{path.name}: file shorter than a NIfTI-1 header")
 
@@ -150,9 +159,9 @@ def read_nifti(path, kind: str | None = None) -> Volume:
         offset = int(vox_offset) if vox_offset >= HEADER_SIZE else HEADER_SIZE
         skip = offset - HEADER_SIZE
         if skip:
-            fh.read(skip)
+            _read(fh, skip, path)
         nbytes = int(np.prod(dims)) * dt.itemsize
-        buf = fh.read(nbytes)
+        buf = _read(fh, nbytes, path)
         if len(buf) < nbytes:
             raise NiftiError(
                 f"{path.name}: truncated data section ({len(buf)} of {nbytes} bytes)"

@@ -145,14 +145,10 @@ def _add_to_cell(open_cells, cell, w, out):
 
 
 def _unbacked_zeros(shape) -> np.ndarray:
-    """float32 zeros in a private anonymous mapping of their own.
-
-    A page takes memory only once written: reads of the others map the
-    kernel's zero page, so the planes of classes no answer gives in a
-    cell cost nothing. ``np.zeros`` of a cell-sized array may instead be
-    cleared heap memory, resident in full, and a shared mapping backs
-    every page read. The pages go back to the system when the array is
-    freed."""
+    """float32 zeros in a private anonymous mapping of their own, whose
+    pages go back to the system when the array is freed. ``np.zeros`` of
+    a cell-sized array may instead come from the heap, which keeps its
+    pages after the free."""
     buf = mmap.mmap(-1, 4 * math.prod(shape), flags=mmap.MAP_PRIVATE)
     return np.frombuffer(buf, dtype=np.float32).reshape(shape)
 
@@ -266,12 +262,9 @@ class ExternalPredictor:
             raise ValueError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
         self.command = command
         self.timeout = timeout
-        if exchange_dir is None:
-            self._tmp = tempfile.TemporaryDirectory(prefix="spineseg-exchange-")
-            self.exchange_dir = Path(self._tmp.name)
-        else:
-            self.exchange_dir = Path(exchange_dir)
-            self.exchange_dir.mkdir(parents=True, exist_ok=True)
+        # each call deletes its own uuid-named files, so the shared temp dir serves
+        self.exchange_dir = Path(tempfile.gettempdir() if exchange_dir is None else exchange_dir)
+        self.exchange_dir.mkdir(parents=True, exist_ok=True)
 
     def predict(self, volume: Volume, where) -> np.ndarray:
         """The command's answer for ``volume``; ``where`` (a patch origin or

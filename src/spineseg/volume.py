@@ -9,8 +9,9 @@ of increasing index, so the canonical orientation is ("P", "I", "R").
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -395,18 +396,43 @@ def usable_cpus() -> int:
 
 
 def concurrently(*calls) -> list:
-    """``[call() for call in calls]``, with the calls after the first run
-    in order on one worker thread while the first runs on this one.
+    """``[call() for call in calls]`` on ``width = min(len(calls),
+    usable_cpus())`` threads, this one among them; the package starts
+    threads nowhere else.
 
-    Every call runs here, in order, when fewer than two CPUs are usable.
-    A call's exception reaches the caller, and the worker has ended when
-    this returns or raises. One worker, not one per CPU: each thread that
-    allocates gets its own malloc arena, which keeps the pages of the
-    temporaries freed in it.
+    Below a width of 2 every call runs here, in order. Otherwise
+    ``width - 1`` workers start; thread k runs call k first, this one
+    being thread 0, and then each thread takes the next call no thread
+    has taken, in input order, until none is left. Once a call has
+    failed no thread takes another, and its exception reaches the caller
+    after every worker has ended. This thread works rather than waits,
+    so one thread fewer allocates: each one gets its own malloc arena,
+    which keeps the pages of the temporaries freed in it.
     """
-    if len(calls) < 2 or usable_cpus() < 2:
+    width = min(len(calls), usable_cpus())
+    if width < 2:
         return [call() for call in calls]
-    with ThreadPoolExecutor(1) as worker:
-        rest = worker.submit(lambda: [call() for call in calls[1:]])
-        first = calls[0]()
-        return [first, *rest.result()]
+    results, failures = [None] * len(calls), []
+    untaken = iter(range(width, len(calls)))  # next() on it is atomic
+
+    def run(first: int) -> None:
+        try:
+            for i in chain((first,), untaken):
+                results[i] = calls[i]()
+                if failures:
+                    return
+        except BaseException as e:
+            failures.append(e)
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(1, width)]
+    try:
+        for worker in workers:
+            worker.start()
+        run(0)
+    finally:
+        for worker in workers:
+            if worker.is_alive():  # one that never started cannot be joined
+                worker.join()
+    if failures:
+        raise failures[0]
+    return results

@@ -1,3 +1,4 @@
+import gzip
 import threading
 
 import numpy as np
@@ -65,3 +66,16 @@ def two_pass_order_sensitive(base, sub, cord):
     no_cord = AnnotationSources(base, sub, cord.with_data(np.zeros_like(cord.data)))
     alt = synthesize_endplates(merge_sources(no_cord))
     return int(((alt.data == Structure.ENDPLATE) & (cord.data > 0)).sum())
+
+
+def corrupt_gzip(nii: bytes, how: str) -> bytes:
+    """The NIfTI file ``nii`` gzipped and then broken: "cut" to half its
+    length (EOFError), with an unknown compression "method" in the gzip
+    header (BadGzipFile), or with "deflate" data whose first block has the
+    reserved type (zlib.error)."""
+    blob = bytearray(gzip.compress(nii, mtime=0))
+    if how == "cut":
+        return bytes(blob[: len(blob) // 2])
+    # 7 is no method (8 is deflate), and as a block header it reads BFINAL=1, BTYPE=3
+    blob[{"method": 2, "deflate": 10}[how]] = 7
+    return bytes(blob)

@@ -1,12 +1,20 @@
 """Command line behavior: exit codes, produced files, reproducibility."""
 
 import json
+import os
+import signal
 import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import two_pass_order_sensitive
+import spineseg
+from conftest import corrupt_gzip, two_pass_order_sensitive
+from test_pipeline import alive
 from spineseg.cli import main
 from spineseg.labels import Structure
 from spineseg.nifti import read_nifti, write_nifti
@@ -388,6 +396,67 @@ class TestEvaluate:
         json_path = tmp_path / "eval.json"
         assert run_cli("evaluate", "--pred", path, "--ref", path, "--json", json_path) == 1
         assert not json_path.exists()
+
+
+    @pytest.mark.parametrize("how", ["cut", "method", "deflate"])
+    def test_corrupt_gzip_input_exits_one(self, phantom_dir, tmp_path, capsys, how):
+        raw = tmp_path / "sem.nii"
+        write_nifti(read_nifti(phantom_dir / "semantic.nii.gz"), raw)
+        broken = tmp_path / "sem.nii.gz"
+        broken.write_bytes(corrupt_gzip(raw.read_bytes(), how))
+        json_path = tmp_path / "eval.json"
+        assert run_cli("evaluate", "--pred", broken, "--ref", raw, "--json", json_path) == 1
+        assert "could not read predicted mask" in capsys.readouterr().err
+        assert not json_path.exists()
+
+
+# Notes its pid in <pid dir>/<pid>, then sleeps past any test's patience.
+SLEEPING_MODEL = """
+import os, sys, time
+open(os.path.join(sys.argv[3], str(os.getpid())), "w").close()
+time.sleep(120)
+"""
+
+
+class TestTermination:
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["TERM", "HUP"])
+    def test_signal_kills_the_models_and_deletes_their_files(self, phantom_dir, tmp_path, signum):
+        model = tmp_path / "model.py"
+        model.write_text(SLEEPING_MODEL)
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        out = tmp_path / "seg"
+        env = {**os.environ, "PYTHONPATH": str(Path(spineseg.__file__).resolve().parents[1])}
+        run = subprocess.Popen(
+            [
+                sys.executable, "-m", "spineseg.cli", "segment",
+                "--input", phantom_dir / "intensity.nii.gz",
+                "--semantic", f"exec:{sys.executable} {model} {{input}} {{output}} {pids}",
+                "--instance", f"oracle:{phantom_dir / 'instance.nii.gz'}",
+                "--out-dir", out, "--spacing", "keep",
+            ],
+            env=env,
+            stderr=subprocess.DEVNULL,
+        )
+        recorded = []
+        try:
+            deadline = time.monotonic() + 60
+            # one CPU runs one call at a time, so one pid is all there may be
+            while not recorded and run.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                recorded = [int(p.name) for p in pids.iterdir()]
+            assert recorded, "no model call started"
+            run.send_signal(signum)
+            assert run.wait(timeout=60) != 0
+            recorded = [int(p.name) for p in pids.iterdir()]
+            assert not [pid for pid in recorded if alive(pid)]
+            assert sorted(p.name for p in (out / "exchange").iterdir() if p.name.startswith(("in_", "log_"))) == []
+        finally:
+            run.kill()
+            run.wait()
+            for pid in recorded:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestReport:

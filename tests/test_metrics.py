@@ -792,26 +792,38 @@ def shifted_phantom(phantom):
 
 
 class TestPairPool:
-    """Label pairs run on a thread pool as wide as the usable CPUs."""
+    """Label pairs run through ``volume.concurrently``: as many threads as
+    usable CPUs, the calling thread among them."""
 
-    def test_reports_do_not_depend_on_the_cpu_count(self, fused_phantom, monkeypatch):
+    def test_reports_do_not_depend_on_the_cpu_count(self, at_cpus, fused_phantom, monkeypatch):
         volumes = shifted_phantom(fused_phantom)
-        calls = []
+        assd_pairs, batches = metrics._assd_pairs, []
 
         def recording(*args):
-            calls.append(threading.get_ident())
+            batches[-1].add(threading.current_thread())
             return _surface_distance(*args)
 
+        def batch(*args):
+            batches.append(set())
+            return assd_pairs(*args)
+
         monkeypatch.setattr(metrics, "_surface_distance", recording)
+        monkeypatch.setattr(metrics, "_assd_pairs", batch)
         reports = {}
-        for cpus in (1, 4):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-            calls.clear()
-            reports[cpus] = json.dumps(evaluate_segmentation(*volumes), sort_keys=True)
-            # two batches, one per report, each on at most ``cpus`` worker threads
-            assert len(calls) > 20 and threading.get_ident() not in calls
-            assert len(set(calls)) <= 2 * cpus
-        assert reports[1] == reports[4]
+        for cpus in (1, 2, 4):
+            batches.clear()
+            reports[cpus] = json.dumps(at_cpus(cpus, lambda: evaluate_segmentation(*volumes))[0], sort_keys=True)
+            # two batches, one per report, each on at most ``cpus`` threads
+            assert len(batches) == 2 and all(1 <= len(threads) <= cpus for threads in batches)
+        assert reports[1] == reports[2] == reports[4]
+
+    def test_assd_starts_no_thread(self, at_cpus, fused_phantom, monkeypatch):
+        _, sem, _ = fused_phantom
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        corpus = sem.data == Structure.CORPUS
+        value, _ = at_cpus(4, lambda: assd(np.roll(corpus, 1, axis=1), corpus))
+        assert value > 0 and started == []
 
     def test_a_failing_pair_fails_the_report_and_leaves_no_thread(self, fused_phantom, monkeypatch):
         volumes = shifted_phantom(fused_phantom)

@@ -17,6 +17,7 @@ import pytest
 
 from spineseg.nifti import NiftiError, read_nifti, write_nifti
 from spineseg.volume import Volume
+from conftest import corrupt_gzip
 
 
 def make_header(
@@ -335,6 +336,15 @@ class TestRejections:
         p = tmp_path / "h.nii"
         p.write_bytes(b"\x00" * 100)
         with pytest.raises(NiftiError, match="header"):
+            read_nifti(p)
+
+    @pytest.mark.parametrize("how", ["cut", "method", "deflate"])
+    def test_corrupt_gzip_stream(self, tmp_path, how):
+        raw = tmp_path / "v.nii"
+        write_nifti(Volume(np.arange(4096, dtype=np.uint16).reshape(16, 16, 16), kind="semantic"), raw)
+        p = tmp_path / "v.nii.gz"
+        p.write_bytes(corrupt_gzip(raw.read_bytes(), how))
+        with pytest.raises(NiftiError, match="v.nii.gz: corrupt gzip stream"):
             read_nifti(p)
 
     def test_4d_rejected(self, tmp_path):

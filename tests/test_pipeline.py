@@ -1,5 +1,6 @@
 """Tiling, blended tiled prediction, external predictors, full runs."""
 
+import gc
 import gzip
 import itertools
 import json
@@ -7,6 +8,7 @@ import os
 import textwrap
 import time
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -772,6 +774,44 @@ class TestExternalPredictors:
         pred = ExternalSemanticPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
         with pytest.raises(PredictorError, match="malformed"):
             pred.predict(small_semantic, (0, 0, 0))
+
+    def test_truncated_output_raises(self, tmp_path, small_semantic):
+        # a model killed while it writes its answer leaves half a gzip stream
+        script = write_script(
+            tmp_path,
+            "cut.py",
+            """
+            from spineseg.nifti import read_nifti, write_nifti
+            write_nifti(read_nifti(sys.argv[1]), sys.argv[2])
+            blob = open(sys.argv[2], "rb").read()
+            open(sys.argv[2], "wb").write(blob[: len(blob) // 2])
+            """,
+        )
+        pred = ExternalSemanticPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
+        with pytest.raises(PredictorError, match="malformed predictor output .*corrupt gzip stream"):
+            pred.predict(small_semantic, (0, 0, 0))
+
+    def test_default_exchange_leaves_no_file_and_no_warning(self, tmp_path, small_semantic):
+        noted = tmp_path / "input.txt"
+        script = write_script(
+            tmp_path,
+            "noting.py",
+            """
+            from spineseg.nifti import read_nifti, write_nifti
+            write_nifti(read_nifti(sys.argv[1]), sys.argv[2])
+            open(sys.argv[3], "w").write(sys.argv[1])
+            """,
+        )
+        pred = ExternalSemanticPredictor(f"python3 {script} {{input}} {{output}} {noted}")
+        assert np.array_equal(pred.predict(small_semantic, (0, 0, 0)), small_semantic.data)
+        exchanged = Path(noted.read_text())
+        uid = exchanged.name[len("in_") : -len(".nii.gz")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del pred
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
+        assert list(exchanged.parent.glob(f"*{uid}*")) == []
 
     def test_timeout_raises(self, tmp_path, small_semantic):
         script = write_script(tmp_path, "slow.py", "import time\ntime.sleep(30)\n")

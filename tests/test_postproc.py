@@ -1,12 +1,16 @@
 """Consistency enforcement between semantic and instance masks."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
+import spineseg.assembly as assembly
 import spineseg.postproc as postproc
-from spineseg.assembly import assemble
-from spineseg.labels import Structure, endplate_id, ivd_id
+import spineseg.volume
+from spineseg.assembly import assemble, assign_disc_endplate_instances
+from spineseg.labels import IVD_ID_BASE, Structure, endplate_id, ivd_id
 from spineseg.phantom import (
     NoiseSpec,
     OracleInstancePredictor,
@@ -16,7 +20,7 @@ from spineseg.phantom import (
 )
 from spineseg.pipeline import predict_semantic
 from spineseg.postproc import enforce_consistency, foreground_equal
-from spineseg.volume import Volume
+from spineseg.volume import Volume, concurrently, connected_components
 from test_acceptance import random_inconsistent_pair
 from conftest import bounding_box
 
@@ -380,3 +384,42 @@ class TestCpuCount:
             assert s1.dtype == s2.dtype and np.array_equal(s1, s2)
             assert i1.dtype == i2.dtype and np.array_equal(i1, i2)
             assert r1.to_dict() == r2.to_dict()
+
+
+class TestLabelPassThreads:
+    """Each of the three label-pass sites hands ``concurrently`` two calls:
+    the first runs on the calling thread and the second on one worker,
+    however many CPUs are usable. The assembly site's second call labels
+    the disc and then the endplate class."""
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_first_call_here_second_on_one_worker(self, monkeypatch, standard_phantom, cpus):
+        monkeypatch.setattr(spineseg.volume, "usable_cpus", lambda: cpus)
+        sites, labeled = [], []
+
+        def on_thread(threads, call):
+            def run():
+                threads.append(threading.current_thread())
+                return call()
+
+            return run
+
+        def spied(*calls):
+            sites.append([[] for _ in calls])
+            return concurrently(*map(on_thread, sites[-1], calls))
+
+        def class_components(mask, **kwargs):
+            labeled.append(threading.current_thread())
+            return connected_components(mask, **kwargs)
+
+        for module in (postproc, assembly):
+            monkeypatch.setattr(module, "concurrently", spied)
+        monkeypatch.setattr(assembly, "connected_components", class_components)
+        enforce_consistency(*TestCpuCount.damaged_phantom(standard_phantom))
+        _, sem, inst = standard_phantom
+        assign_disc_endplate_instances(sem, np.where(inst.data < IVD_ID_BASE, inst.data, 0))
+        here = threading.current_thread()
+        assert len(sites) == 3
+        for first, second in sites:
+            assert first == [here] and len(second) == 1 and second[0] is not here
+        assert labeled == [sites[-1][1][0]] * 2

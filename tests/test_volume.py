@@ -1,6 +1,8 @@
 """Volume core ops against brute-force oracles."""
 
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -476,17 +478,49 @@ class TestConcurrently:
 
         return call
 
-    def test_first_here_rest_in_order_on_one_worker(self, monkeypatch):
-        monkeypatch.setattr(spineseg.volume, "usable_cpus", lambda: 2)
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_first_calls_on_their_own_threads_then_dealt_in_order(self, monkeypatch, cpus, n):
+        monkeypatch.setattr(spineseg.volume, "usable_cpus", lambda: cpus)
+        width = min(n, cpus)
         log = []
+
+        def call(k):
+            def run():
+                log.append((k, threading.current_thread()))
+                return k
+
+            return run
+
         before = threading.active_count()
-        out = concurrently(*(self.recorder(log, name) for name in "abcd"))
-        assert out == ["a", "b", "c", "d"]
-        threads = dict(log)
-        assert threads["a"] == threading.get_ident()
-        assert threads["b"] == threads["c"] == threads["d"] != threading.get_ident()
-        assert [name for name, _ in log if name != "a"] == ["b", "c", "d"]
+        assert concurrently(*(call(k) for k in range(n))) == list(range(n))
         assert threading.active_count() == before
+        assert sorted(k for k, _ in log) == list(range(n))
+        threads = dict(log)
+        # thread objects, not idents: an ended worker's ident can be reused
+        firsts = [threads[k] for k in range(width)]
+        assert firsts[0] is threading.current_thread()
+        assert len(set(firsts)) == width == len(set(threads.values()))
+        # each thread's first call is its own call k; later ones go in input order
+        for thread in set(firsts):
+            taken = [k for k, t in log if t is thread]
+            assert taken[0] == firsts.index(thread) and taken == sorted(taken)
+        assert sorted(k for k, _ in log if k >= width) == list(range(width, n))
+
+    def test_every_call_taken_once_under_frequent_switches(self, monkeypatch):
+        # more threads than cores, switching about every microsecond: a
+        # call dealt twice or never would break the counts
+        monkeypatch.setattr(spineseg.volume, "usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                taken = []  # list.append is atomic
+                calls = [lambda k=k: taken.append(k) or k for k in range(300)]
+                assert concurrently(*calls) == list(range(300))
+                assert sorted(taken) == list(range(300))
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("cpus, names", [(1, "abc"), (2, "a")], ids=["one-cpu", "one-call"])
     def test_runs_here_in_order(self, monkeypatch, cpus, names):
@@ -511,6 +545,25 @@ class TestConcurrently:
             concurrently(*calls)
         assert threading.active_count() == before
         assert len({thread for _, thread in log}) == 2
+
+    def test_no_call_is_taken_once_one_has_failed(self, monkeypatch):
+        monkeypatch.setattr(spineseg.volume, "usable_cpus", lambda: 2)
+        failed = threading.Event()
+        log = []
+
+        def first():
+            failed.wait(10)
+            time.sleep(0.5)  # the failure is recorded meanwhile
+            return 0
+
+        def fail():
+            failed.set()
+            raise KeyError("from a task")
+
+        calls = [first, fail, *(self.recorder(log, name) for name in "abcd")]
+        with pytest.raises(KeyError, match="from a task"):
+            concurrently(*calls)
+        assert log == []
 
 
 def brute_force_overlap(origin_a, shape_a, origin_b, shape_b):
