@@ -5,7 +5,8 @@ merging), ``segment`` (the two-phase pipeline), ``evaluate`` (metrics),
 and ``report`` (pretty-print a result JSON). Exit codes: 0 success, 1
 processing failure, 2 usage error. File-producing commands write a
 ``run.json`` with the resolved configuration and toolkit version so any
-run can be reproduced exactly.
+run can be reproduced exactly, and publish their outputs together: a run
+that fails leaves the files of the run before it as they were.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import json
 import os
 import signal
 import sys
+import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -73,14 +76,37 @@ def _read_volume(path: str, what: str):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _run_json(out_dir: Path, command: str, config: dict, **extra) -> None:
-    payload = {"command": command, "version": __version__, "config": config}
-    payload.update(extra)
-    _write_json(out_dir / "run.json", payload)
+def _run_json(out_dir: Path, command: str, config: dict, **extra):
+    """The ``run.json`` output for ``_publish``."""
+    payload = {"command": command, "version": __version__, "config": config, **extra}
+    return out_dir / "run.json", lambda p: _write_json(p, payload)
+
+
+def _publish(outputs) -> None:
+    """Write each ``(path, write)`` output with ``write(staged_path)``, then
+    move them into place in order, so the files of an earlier run stay as
+    they were unless every output got written; ``run.json`` goes last.
+
+    Each output is staged under its final name in a fresh hidden directory
+    beside it: a gzip header records the file's name, so another name
+    would change the bytes. The staging directories go on every path out.
+    """
+    with ExitStack() as stack:
+        staging = {}
+        try:
+            for path, write in outputs:
+                if path.parent not in staging:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    tmp = tempfile.TemporaryDirectory(prefix=".spineseg-", dir=path.parent)
+                    staging[path.parent] = Path(stack.enter_context(tmp))
+                write(staging[path.parent] / path.name)
+            for path, _ in outputs:
+                os.replace(staging[path.parent] / path.name, path)
+        except (OSError, NiftiError) as e:
+            raise RunError(f"could not write {path}: {e}") from None
 
 
 def cmd_phantom(args) -> int:
@@ -113,12 +139,15 @@ def cmd_phantom(args) -> int:
         raise UsageError(f"phantom does not fit: {e}")
 
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_nifti(intensity, out / "intensity.nii.gz")
-    write_nifti(semantic, out / "semantic.nii.gz")
-    write_nifti(instance, out / "instance.nii.gz")
-    write_labels_json(out / "labels.json")
-    _run_json(out, "phantom", json.loads(spec.to_json()), seed=spec.seed)
+    _publish(
+        [
+            (out / "intensity.nii.gz", lambda p: write_nifti(intensity, p)),
+            (out / "semantic.nii.gz", lambda p: write_nifti(semantic, p)),
+            (out / "instance.nii.gz", lambda p: write_nifti(instance, p)),
+            (out / "labels.json", write_labels_json),
+            _run_json(out, "phantom", json.loads(spec.to_json()), seed=spec.seed),
+        ]
+    )
     print(f"phantom with {spec.n_vertebrae} vertebrae written to {out}")
     return 0
 
@@ -135,9 +164,6 @@ def cmd_fuse(args) -> int:
     merged, fused, order_sensitive = fuse_sources(sources)
 
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_nifti(fused, out_path)
-
     counts = {
         Structure(int(c)).name.lower(): int(n)
         for c, n in zip(*np.unique(fused.data, return_counts=True))
@@ -155,17 +181,19 @@ def cmd_fuse(args) -> int:
         "order_sensitive_voxels": order_sensitive,
     }
     summary_path = Path(args.summary) if args.summary else out_path.parent / "fuse_summary.json"
-    _write_json(summary_path, summary)
-    _run_json(
-        out_path.parent,
-        "fuse",
-        {
-            "base": args.base,
-            "substructures": args.substructures,
-            "cord": args.cord,
-            "out": str(out_path),
-            "summary": str(summary_path),
-        },
+    config = {
+        "base": args.base,
+        "substructures": args.substructures,
+        "cord": args.cord,
+        "out": str(out_path),
+        "summary": str(summary_path),
+    }
+    _publish(
+        [
+            (out_path, lambda p: write_nifti(fused, p)),
+            (summary_path, lambda p: _write_json(p, summary)),
+            _run_json(out_path.parent, "fuse", config),
+        ]
     )
     print(f"fused mask written to {out_path}")
     return 0
@@ -204,7 +232,6 @@ def _parse_predictor(uri: str, role: str, exchange_dir: Path, timeout: float):
 def cmd_segment(args) -> int:
     vol = _read_volume(args.input, "input")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     patch = _tuple_of(args.patch, int, "--patch")
     try:
@@ -229,18 +256,18 @@ def cmd_segment(args) -> int:
     except (PredictorError, NiftiError, ValueError) as e:
         raise RunError(f"pipeline failed: {e}")
 
-    write_nifti(semantic, out / "semantic.nii.gz")
-    write_nifti(instance, out / "instance.nii.gz")
-    _run_json(
-        out,
-        "segment",
-        {
-            "input": args.input,
-            "semantic": args.semantic,
-            "instance": args.instance,
-            **config.to_dict(),
-        },
-        report=report.to_dict(),
+    run_config = {
+        "input": args.input,
+        "semantic": args.semantic,
+        "instance": args.instance,
+        **config.to_dict(),
+    }
+    _publish(
+        [
+            (out / "semantic.nii.gz", lambda p: write_nifti(semantic, p)),
+            (out / "instance.nii.gz", lambda p: write_nifti(instance, p)),
+            _run_json(out, "segment", run_config, report=report.to_dict()),
+        ]
     )
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -273,15 +300,13 @@ def cmd_evaluate(args) -> int:
         },
         **result,
     }
-    _write_json(Path(args.json), payload)
-    if args.csv:
-        _write_csv(Path(args.csv), result)
+    outputs = [(Path(args.csv), lambda p: _write_csv(p, result))] if args.csv else []
+    _publish([*outputs, (Path(args.json), lambda p: _write_json(p, payload))])
     print(f"evaluation written to {args.json}")
     return 0
 
 
 def _write_csv(path: Path, result: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scope", "DSC", "RQ", "SQ", "PQ", "ASSD"])

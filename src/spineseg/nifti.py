@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .labels import LABEL_MAX, checked_labels
-from .volume import AXIS_CODES, Volume, checked_spacing, validate_orientation
+from .volume import AXIS_CODES, Volume, checked_spacing
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
@@ -40,6 +40,7 @@ _LABEL_CODE = 512  # uint16
 _INTENSITY_CODE = 16  # float32
 _GZIP_LEVEL = 1  # about 6x faster than level 9; a label mask still shrinks to about 2% of raw
 _COPY_SLAB = 16  # axis-1 planes per voxel copy in write_nifti
+_DIM_MAX = 32767  # the header stores each axis length as int16
 
 
 class NiftiError(ValueError):
@@ -50,14 +51,6 @@ def _open_for_read(path: Path):
     with open(path, "rb") as raw:
         gzipped = raw.read(2) == b"\x1f\x8b"
     return gzip.open(path, "rb") if gzipped else open(path, "rb")
-
-
-def _read(fh, size: int, path: Path) -> bytes:
-    """``fh.read(size)``, with a corrupt or cut gzip stream as NiftiError."""
-    try:
-        return fh.read(size)
-    except (EOFError, gzip.BadGzipFile, zlib.error) as e:
-        raise NiftiError(f"{path.name}: corrupt gzip stream: {e}") from None
 
 
 def _affine_to_codes(affine3: np.ndarray) -> tuple[str, str, str]:
@@ -100,74 +93,74 @@ def read_nifti(path, kind: str | None = None) -> Volume:
     """
     path = Path(path)
     with _open_for_read(path) as fh:
-        header = _read(fh, HEADER_SIZE, path)
-        if len(header) < HEADER_SIZE:
-            raise NiftiError(f"{path.name}: file shorter than a NIfTI-1 header")
-
-        (sizeof_hdr,) = struct.unpack("<i", header[0:4])
-        if sizeof_hdr == 348:
-            end = "<"
-        elif struct.unpack(">i", header[0:4])[0] == 348:
-            end = ">"
-        else:
-            raise NiftiError(f"{path.name}: not a NIfTI-1 file (sizeof_hdr != 348)")
-
-        magic = header[344:348]
-        if magic != MAGIC_SINGLE:
-            raise NiftiError(f"{path.name}: unsupported magic {magic!r}; need single-file 'n+1'")
-
-        dim = struct.unpack(end + "8h", header[40:56])
-        ndim = dim[0]
-        if ndim < 3:
-            raise NiftiError(f"{path.name}: need a 3D image, header says {ndim}D")
-        if any(d > 1 for d in dim[4 : 1 + max(3, ndim)]):
-            raise NiftiError(f"{path.name}: 4D+ images are not supported")
-        dims = tuple(int(d) for d in dim[1:4])
-        if min(dims) < 1:
-            raise NiftiError(f"{path.name}: non-positive dimension in {dims}")
-
-        (datatype,) = struct.unpack(end + "h", header[70:72])
-        if datatype not in _DTYPES:
-            raise NiftiError(f"{path.name}: unsupported datatype code {datatype}")
-        dt = np.dtype(end + _DTYPES[datatype])
-
-        pixdim = struct.unpack(end + "8f", header[76:108])
-        (vox_offset,) = struct.unpack(end + "f", header[108:112])
-        scl_slope, scl_inter = struct.unpack(end + "2f", header[112:120])
-        qform_code, sform_code = struct.unpack(end + "2h", header[252:256])
-
-        if sform_code > 0:
-            srow = struct.unpack(end + "12f", header[280:328])
-            affine3 = np.array(srow, dtype=np.float64).reshape(3, 4)[:, :3]
-        elif qform_code > 0:
-            qb, qc, qd = struct.unpack(end + "3f", header[256:268])
-            qfac = pixdim[0] if pixdim[0] != 0 else 1.0
-            rot = _quaternion_matrix(qb, qc, qd, qfac)
-            affine3 = rot * np.array(pixdim[1:4], dtype=np.float64)
-        else:
-            diag = np.abs(np.array(pixdim[1:4], dtype=np.float64))
-            diag[diag == 0] = 1.0
-            affine3 = np.diag(diag)
-
-        orientation = _affine_to_codes(affine3)
-        norms = [float(np.linalg.norm(affine3[:, j])) for j in range(3)]
+        # to the end: the gzip reader checks each member's CRC-32 and length there
         try:
-            spacing = checked_spacing(norms, "voxel spacing")
-        except ValueError as e:
-            raise NiftiError(f"{path.name}: {e}")
+            raw = fh.read()
+        except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+            raise NiftiError(f"{path.name}: corrupt gzip stream: {e}") from None
+    if len(raw) < HEADER_SIZE:
+        raise NiftiError(f"{path.name}: file shorter than a NIfTI-1 header")
+    header = raw[:HEADER_SIZE]
 
-        offset = int(vox_offset) if vox_offset >= HEADER_SIZE else HEADER_SIZE
-        skip = offset - HEADER_SIZE
-        if skip:
-            _read(fh, skip, path)
-        nbytes = int(np.prod(dims)) * dt.itemsize
-        buf = _read(fh, nbytes, path)
-        if len(buf) < nbytes:
-            raise NiftiError(
-                f"{path.name}: truncated data section ({len(buf)} of {nbytes} bytes)"
-            )
+    (sizeof_hdr,) = struct.unpack("<i", header[0:4])
+    if sizeof_hdr == 348:
+        end = "<"
+    elif struct.unpack(">i", header[0:4])[0] == 348:
+        end = ">"
+    else:
+        raise NiftiError(f"{path.name}: not a NIfTI-1 file (sizeof_hdr != 348)")
 
-    view = np.frombuffer(buf, dtype=dt).reshape(dims, order="F")
+    magic = header[344:348]
+    if magic != MAGIC_SINGLE:
+        raise NiftiError(f"{path.name}: unsupported magic {magic!r}; need single-file 'n+1'")
+
+    dim = struct.unpack(end + "8h", header[40:56])
+    ndim = dim[0]
+    if ndim < 3:
+        raise NiftiError(f"{path.name}: need a 3D image, header says {ndim}D")
+    if any(d > 1 for d in dim[4 : 1 + max(3, ndim)]):
+        raise NiftiError(f"{path.name}: 4D+ images are not supported")
+    dims = tuple(int(d) for d in dim[1:4])
+    if min(dims) < 1:
+        raise NiftiError(f"{path.name}: non-positive dimension in {dims}")
+
+    (datatype,) = struct.unpack(end + "h", header[70:72])
+    if datatype not in _DTYPES:
+        raise NiftiError(f"{path.name}: unsupported datatype code {datatype}")
+    dt = np.dtype(end + _DTYPES[datatype])
+
+    pixdim = struct.unpack(end + "8f", header[76:108])
+    (vox_offset,) = struct.unpack(end + "f", header[108:112])
+    scl_slope, scl_inter = struct.unpack(end + "2f", header[112:120])
+    qform_code, sform_code = struct.unpack(end + "2h", header[252:256])
+
+    if sform_code > 0:
+        srow = struct.unpack(end + "12f", header[280:328])
+        affine3 = np.array(srow, dtype=np.float64).reshape(3, 4)[:, :3]
+    elif qform_code > 0:
+        qb, qc, qd = struct.unpack(end + "3f", header[256:268])
+        qfac = pixdim[0] if pixdim[0] != 0 else 1.0
+        rot = _quaternion_matrix(qb, qc, qd, qfac)
+        affine3 = rot * np.array(pixdim[1:4], dtype=np.float64)
+    else:
+        diag = np.abs(np.array(pixdim[1:4], dtype=np.float64))
+        diag[diag == 0] = 1.0
+        affine3 = np.diag(diag)
+
+    orientation = _affine_to_codes(affine3)
+    norms = [float(np.linalg.norm(affine3[:, j])) for j in range(3)]
+    try:
+        spacing = checked_spacing(norms, "voxel spacing")
+    except ValueError as e:
+        raise NiftiError(f"{path.name}: {e}")
+
+    # an offset past the end (infinity included) leaves no voxels, not an OverflowError
+    offset = int(min(vox_offset, len(raw))) if vox_offset >= HEADER_SIZE else HEADER_SIZE
+    count = int(np.prod(dims))
+    nbytes = count * dt.itemsize
+    if len(raw) - offset < nbytes:
+        raise NiftiError(f"{path.name}: truncated data section ({len(raw) - offset} of {nbytes} bytes)")
+    view = np.frombuffer(raw, dtype=dt, count=count, offset=offset).reshape(dims, order="F")
     # one copy, always: ascontiguousarray would hand back the read-only
     # buffer whenever the view is C-contiguous too (dims like 1x1xN)
     data = np.array(view, dtype=dt.newbyteorder("="), order="C")
@@ -200,7 +193,6 @@ def write_nifti(vol: Volume, path, *, compresslevel: int = _GZIP_LEVEL) -> None:
     volumes as float32. The orientation/spacing go into the sform.
     """
     path = Path(path)
-    validate_orientation(vol.orientation)
     data = np.asarray(vol.data)
     if vol.is_label:
         try:
@@ -211,6 +203,9 @@ def write_nifti(vol: Volume, path, *, compresslevel: int = _GZIP_LEVEL) -> None:
     else:
         dtype, datatype = np.dtype("<f4"), _INTENSITY_CODE
 
+    for axis, n in enumerate(vol.dims):
+        if n > _DIM_MAX:
+            raise NiftiError(f"axis {axis} has {n} voxels; NIfTI-1 stores at most {_DIM_MAX} per axis")
     affine = _build_affine(vol)
     # header, four zero extension bytes and the voxels in one buffer
     blob = bytearray(HEADER_SIZE + 4 + data.size * dtype.itemsize)

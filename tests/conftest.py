@@ -71,11 +71,23 @@ def two_pass_order_sensitive(base, sub, cord):
 def corrupt_gzip(nii: bytes, how: str) -> bytes:
     """The NIfTI file ``nii`` gzipped and then broken: "cut" to half its
     length (EOFError), with an unknown compression "method" in the gzip
-    header (BadGzipFile), or with "deflate" data whose first block has the
-    reserved type (zlib.error)."""
+    header (BadGzipFile), with "deflate" data whose first block has the
+    reserved type (zlib.error), with one byte of the "crc" trailer
+    flipped, as a "stored" (level-0) member with its last voxel byte
+    flipped, or with a "tail" of bytes that are no gzip member (all three
+    BadGzipFile)."""
+    if how == "stored":
+        blob = bytearray(gzip.compress(nii, compresslevel=0, mtime=0))
+        blob[blob.rindex(nii[-32:]) + 31] ^= 1  # stored blocks hold the bytes verbatim
+        return bytes(blob)
     blob = bytearray(gzip.compress(nii, mtime=0))
     if how == "cut":
         return bytes(blob[: len(blob) // 2])
+    if how == "crc":
+        blob[-8] ^= 1
+        return bytes(blob)
+    if how == "tail":
+        return bytes(blob) + b"trailing bytes"
     # 7 is no method (8 is deflate), and as a block header it reads BFINAL=1, BTYPE=3
     blob[{"method": 2, "deflate": 10}[how]] = 7
     return bytes(blob)

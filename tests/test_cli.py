@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import spineseg
+from spineseg import cli
 from conftest import corrupt_gzip, two_pass_order_sensitive
 from test_pipeline import alive
 from spineseg.cli import main
@@ -282,6 +283,29 @@ class TestSegment:
         )
         assert code == 0
 
+    def test_failed_write_leaves_the_previous_run(self, phantom_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "seg"
+        common = ("--input", phantom_dir / "intensity.nii.gz",
+                  "--instance", f"oracle:{phantom_dir / 'instance.nii.gz'}",
+                  "--out-dir", out, "--spacing", "keep")
+        assert run_cli("segment", "--semantic", f"oracle:{phantom_dir / 'semantic.nii.gz'}", *common) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        noise = tmp_path / "noise.json"
+        noise.write_text(NoiseSpec().to_json())
+        real_write = cli.write_nifti
+
+        def write_nifti_without_room(vol, path, **kwargs):
+            if Path(path).name == "instance.nii.gz":
+                raise OSError(28, "No space left on device")
+            real_write(vol, path, **kwargs)
+
+        monkeypatch.setattr(cli, "write_nifti", write_nifti_without_room)
+        noisy = f"oracle:{phantom_dir / 'semantic.nii.gz'},{noise}"
+        assert run_cli("segment", "--semantic", noisy, *common) == 1
+        assert "could not write" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["instance.nii.gz", "run.json", "semantic.nii.gz"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_failing_external_predictor_exits_one(self, phantom_dir, tmp_path):
         code = run_cli(
             "segment", "--input", phantom_dir / "intensity.nii.gz",
@@ -398,7 +422,7 @@ class TestEvaluate:
         assert not json_path.exists()
 
 
-    @pytest.mark.parametrize("how", ["cut", "method", "deflate"])
+    @pytest.mark.parametrize("how", ["cut", "method", "deflate", "crc", "stored", "tail"])
     def test_corrupt_gzip_input_exits_one(self, phantom_dir, tmp_path, capsys, how):
         raw = tmp_path / "sem.nii"
         write_nifti(read_nifti(phantom_dir / "semantic.nii.gz"), raw)

@@ -172,6 +172,11 @@ class TestRoundTrip:
         with pytest.raises(NiftiError):
             write_nifti(vol, tmp_path / "v.nii")
 
+    def test_axis_longer_than_int16_raises(self, tmp_path):
+        vol = Volume(np.zeros((1, 40000, 1), np.uint16), kind="semantic")
+        with pytest.raises(NiftiError, match="axis 1 has 40000 voxels; NIfTI-1 stores at most 32767"):
+            write_nifti(vol, tmp_path / "v.nii")
+
 
 def traced_peak(fn):
     """``fn()`` and the tracemalloc peak it reached above what was held before."""
@@ -332,13 +337,27 @@ class TestRejections:
         with pytest.raises(NiftiError, match="truncated"):
             read_nifti(p)
 
+    @pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+    @pytest.mark.parametrize(
+        "dims, vox_offset, held",
+        [((30000,) * 3, 352.0, "16 of 54000000000000"), ((2, 2, 2), float("inf"), "0 of 16")],
+        ids=["54TB-claimed", "offset-inf"],
+    )
+    def test_header_claims_more_than_the_file_holds(self, tmp_path, name, dims, vox_offset, held):
+        # sixteen voxel bytes follow the header; nothing is allocated for the claim
+        blob = make_header(dims, datatype=512, bitpix=16, vox_offset=vox_offset) + bytes(4 + 16)
+        p = tmp_path / name
+        p.write_bytes(gzip.compress(blob, mtime=0) if name.endswith(".gz") else blob)
+        with pytest.raises(NiftiError, match=rf"truncated data section \({held} bytes\)"):
+            read_nifti(p)
+
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "h.nii"
         p.write_bytes(b"\x00" * 100)
         with pytest.raises(NiftiError, match="header"):
             read_nifti(p)
 
-    @pytest.mark.parametrize("how", ["cut", "method", "deflate"])
+    @pytest.mark.parametrize("how", ["cut", "method", "deflate", "crc", "stored", "tail"])
     def test_corrupt_gzip_stream(self, tmp_path, how):
         raw = tmp_path / "v.nii"
         write_nifti(Volume(np.arange(4096, dtype=np.uint16).reshape(16, 16, 16), kind="semantic"), raw)

@@ -775,16 +775,22 @@ class TestExternalPredictors:
         with pytest.raises(PredictorError, match="malformed"):
             pred.predict(small_semantic, (0, 0, 0))
 
-    def test_truncated_output_raises(self, tmp_path, small_semantic):
-        # a model killed while it writes its answer leaves half a gzip stream
+    @pytest.mark.parametrize(
+        "damage",
+        ["blob[: len(blob) // 2]", "blob[:-8] + bytes([blob[-8] ^ 1]) + blob[-7:]"],
+        ids=["cut", "crc"],
+    )
+    def test_corrupt_output_raises(self, tmp_path, small_semantic, damage):
+        # a model killed while it writes its answer leaves half a gzip stream;
+        # a flipped bit shows only in the CRC-32 trailer
         script = write_script(
             tmp_path,
-            "cut.py",
-            """
+            "damage.py",
+            f"""
             from spineseg.nifti import read_nifti, write_nifti
             write_nifti(read_nifti(sys.argv[1]), sys.argv[2])
             blob = open(sys.argv[2], "rb").read()
-            open(sys.argv[2], "wb").write(blob[: len(blob) // 2])
+            open(sys.argv[2], "wb").write({damage})
             """,
         )
         pred = ExternalSemanticPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
