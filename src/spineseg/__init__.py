@@ -35,6 +35,7 @@ from .phantom import (
 )
 from .pipeline import (
     ExternalInstancePredictor,
+    ExternalPredictor,
     ExternalSemanticPredictor,
     PipelineConfig,
     PredictorError,
@@ -54,6 +55,7 @@ __all__ = [
     "ConsistencyReport",
     "Cutout",
     "ExternalInstancePredictor",
+    "ExternalPredictor",
     "ExternalSemanticPredictor",
     "NiftiError",
     "NoiseSpec",

@@ -199,7 +199,7 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _parse_predictor(uri: str, role: str, exchange_dir: Path, timeout: float):
+def _parse_predictor(uri: str, role: str, timeout: float):
     if uri.startswith("oracle:"):
         rest = uri[len("oracle:") :]
         parts = rest.split(",")
@@ -223,7 +223,7 @@ def _parse_predictor(uri: str, role: str, exchange_dir: Path, timeout: float):
         if not command.strip():
             raise UsageError(f"--{role} exec spec has an empty command")
         try:
-            return ExternalPredictor(command, exchange_dir=exchange_dir, timeout=timeout)
+            return ExternalPredictor(command, timeout=timeout)
         except ValueError as e:
             raise UsageError(str(e))
     raise UsageError(f"--{role} must start with oracle: or exec:, got {uri!r}")
@@ -247,9 +247,8 @@ def cmd_segment(args) -> int:
             raise UsageError(str(e))
     config = PipelineConfig(target_spacing=target, tiling=tiling)
 
-    exchange = out / "exchange"
-    semantic_pred = _parse_predictor(args.semantic, "semantic", exchange, args.timeout)
-    instance_pred = _parse_predictor(args.instance, "instance", exchange, args.timeout)
+    semantic_pred = _parse_predictor(args.semantic, "semantic", args.timeout)
+    instance_pred = _parse_predictor(args.instance, "instance", args.timeout)
 
     try:
         semantic, instance, report = run_pipeline(vol, semantic_pred, instance_pred, config)

@@ -52,12 +52,6 @@ _KIND_BY_CODE = {
 }
 
 
-def instance_relevant_codes() -> frozenset[int]:
-    """Semantic codes whose voxels must carry an instance id (1-11): the
-    ten vertebra substructures, endplate included, and the disc."""
-    return frozenset(range(Structure.CORPUS, Structure.IVD + 1))
-
-
 def vertebra_id(order_index: int) -> int:
     return order_index
 
@@ -68,6 +62,12 @@ def ivd_id(order_index: int) -> int:
 
 def endplate_id(order_index: int) -> int:
     return ENDPLATE_ID_BASE + order_index
+
+
+def is_instance_relevant(codes):
+    """True where a semantic code must carry an instance id (1-11): the ten
+    vertebra substructures, endplate included, and the disc."""
+    return (codes >= Structure.CORPUS) & (codes <= Structure.IVD)
 
 
 def is_vertebra_id(ids):

@@ -419,18 +419,19 @@ class RunReport:
 def run_pipeline(vol: Volume, semantic_predictor, instance_predictor, config: PipelineConfig | None = None):
     """Full run: canonical orientation, resampling, both phases, cleanup.
 
-    Returns (semantic Volume, instance Volume, RunReport); output masks
-    live on the processing grid (canonical orientation, target spacing).
+    ``vol`` is taken as an image whatever its kind or dtype (MRI files
+    often store int16), so it is resampled trilinearly. Returns
+    (semantic Volume, instance Volume, RunReport); output masks live on
+    the processing grid (canonical orientation, target spacing).
     """
     cfg = config or PipelineConfig()
     report = RunReport(input_dims=vol.dims, input_spacing=tuple(float(s) for s in vol.spacing))
     timings = {}
 
     t = time.perf_counter()
-    work = to_canonical(vol)
+    work = to_canonical(vol.with_data(vol.data, kind="intensity"))
     if cfg.target_spacing is not None:
-        mode = "trilinear" if vol.kind == "intensity" else "nearest"
-        work = resample(work, cfg.target_spacing, mode=mode)
+        work = resample(work, cfg.target_spacing, mode="trilinear")
     timings["prepare"] = time.perf_counter() - t
     report.processing_dims = work.dims
     report.processing_spacing = tuple(float(s) for s in work.spacing)

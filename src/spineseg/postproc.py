@@ -17,11 +17,8 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .assembly import vertebra_above, vertebra_centroids
-from .labels import instance_relevant_codes, is_vertebra_id, structure_instance_id, writable_instances
-from .volume import Volume, as_array, check_same_grid, concurrently, connected_components, fill_holes
-
-_RELEVANT = sorted(instance_relevant_codes())
-_RELEVANT_LO, _RELEVANT_HI = _RELEVANT[0], _RELEVANT[-1]
+from .labels import is_instance_relevant, is_vertebra_id, structure_instance_id, writable_instances
+from .volume import Volume, as_array, check_same_grid, concurrently, connected_components, fill_holes, overlap, window_view
 
 
 @dataclass
@@ -35,15 +32,11 @@ class ConsistencyReport:
         return {**asdict(self), "orphans_assigned": [list(t) for t in self.orphans_assigned]}
 
 
-def _relevant_mask(sem: np.ndarray) -> np.ndarray:
-    return (sem >= _RELEVANT_LO) & (sem <= _RELEVANT_HI)
-
-
 def foreground_equal(semantic, instance) -> bool:
     """True iff instance-bearing semantic foreground == instance foreground."""
     check_same_grid(semantic, instance)
     sem, inst = as_array(semantic), as_array(instance)
-    return bool(np.array_equal(_relevant_mask(sem), inst > 0))
+    return bool(np.array_equal(is_instance_relevant(sem), inst > 0))
 
 
 def _fill_label_holes(arr: np.ndarray) -> int:
@@ -71,21 +64,6 @@ def _fill_label_holes(arr: np.ndarray) -> int:
     return added
 
 
-def _neighbor_majority(inst: np.ndarray, comp: np.ndarray, box) -> int:
-    """Instance id with the most 26-neighborhood contact voxels; 0 if none.
-
-    Ties go to the smaller id.
-    """
-    grown = ndi.binary_dilation(comp, structure=np.ones((3, 3, 3), dtype=bool))
-    shell = grown & ~comp
-    values = inst[box][shell]
-    values = values[values > 0]
-    if values.size == 0:
-        return 0
-    counts = np.bincount(values)
-    return int(np.argmax(counts))  # argmax returns the first (smallest) maximum
-
-
 def enforce_consistency(semantic, instance):
     """Make the two masks consistent; returns (semantic, instance, report).
 
@@ -94,8 +72,6 @@ def enforce_consistency(semantic, instance):
     cannot hold every instance id (int8, uint8) comes back widened.
     """
     check_same_grid(semantic, instance)
-    sem_vol = semantic if isinstance(semantic, Volume) else None
-    inst_vol = instance if isinstance(instance, Volume) else None
     sem = as_array(semantic).copy()
     inst = writable_instances(as_array(instance))
     report = ConsistencyReport()
@@ -103,7 +79,7 @@ def enforce_consistency(semantic, instance):
     # sem is a copy and inst another array, so their fills are independent
     report.holes_filled += sum(concurrently(partial(_fill_label_holes, sem), partial(_fill_label_holes, inst)))
 
-    relevant = _relevant_mask(sem)
+    relevant = is_instance_relevant(sem)
     has_vertebra = bool((is_vertebra_id(inst) & relevant).any())
     if not has_vertebra and relevant.any():
         # no vertebra instance will survive the zero-out step, so nothing
@@ -126,21 +102,27 @@ def enforce_consistency(semantic, instance):
             partial(vertebra_centroids, sem, inst), partial(connected_components, orphan, connectivity=26)
         )
         for ci, local in enumerate(ndi.find_objects(comps.labels), start=1):
-            # the component's box in the grid, then grown by one voxel for its contact shell
-            tight = [slice(o.start + b.start, o.start + b.stop) for o, b in zip(comps.box, local)]
-            box = tuple(slice(max(0, t.start - 1), min(d, t.stop + 1)) for t, d in zip(tight, orphan.shape))
-            margins = [(t.start - g.start, g.stop - t.stop) for t, g in zip(tight, box)]
-            comp = np.pad(comps.labels[local] == ci, margins)
-            target = _neighbor_majority(inst, comp, box)
-            if target == 0:
+            # the component's box grown by one voxel for its contact shell;
+            # windows read 0 outside the volume, which the contact test drops
+            size = [b.stop - b.start + 2 for b in local]
+            origin = [o.start + b.start - 1 for o, b in zip(comps.box, local)]
+            comp = window_view(comps.labels, [b.start - 1 for b in local], size) == ci
+            shell = ndi.binary_dilation(comp, structure=np.ones((3, 3, 3), dtype=bool)) & ~comp
+            contact = window_view(inst, origin, size)[shell]
+            counts = np.bincount(contact[contact > 0])
+            if counts.size:
+                target = int(np.argmax(counts))  # ties go to the first, smaller id
+            else:
                 # no instance contact: key to the nearest vertebra above
                 k, _ = vertebra_above(centroids, comps.centroids[ci - 1][1])
-                dominant = int(np.argmax(np.bincount(sem[box][comp])))
+                dominant = int(np.argmax(np.bincount(window_view(sem, origin, size)[comp])))
                 target = structure_instance_id(dominant, k)
-            # components are 26-separated, so no earlier one wrote into comp
-            inst[box][comp] = target
-            report.orphans_assigned.append((int(comp.sum()), int(target)))
+            # components are 26-separated, so no shell holds another's voxel
+            into_inst, into_window = overlap((0, 0, 0), inst.shape, origin, size)
+            inst[into_inst][comp[into_window]] = target
+            report.orphans_assigned.append((int(comps.sizes[ci - 1]), target))
 
-    sem_out = sem_vol.with_data(sem) if sem_vol is not None else sem
-    inst_out = inst_vol.with_data(inst) if inst_vol is not None else inst
-    return sem_out, inst_out, report
+    def like(given, data):
+        return given.with_data(data) if isinstance(given, Volume) else data
+
+    return like(semantic, sem), like(instance, inst), report

@@ -15,7 +15,7 @@ import pytest
 import spineseg
 from spineseg import cli
 from conftest import corrupt_gzip, two_pass_order_sensitive
-from test_pipeline import alive
+from test_pipeline import alive, write_script
 from spineseg.cli import main
 from spineseg.labels import Structure
 from spineseg.nifti import read_nifti, write_nifti
@@ -314,6 +314,55 @@ class TestSegment:
             "--out-dir", tmp_path / "seg", "--spacing", "keep",
         )
         assert code == 1
+        assert not (tmp_path / "seg").exists()
+
+    def test_external_run_leaves_only_its_outputs(self, phantom_dir, tmp_path):
+        # the model answers every patch with the ground truth of the whole grid
+        model = write_script(tmp_path, "model.py", "import shutil\nshutil.copy(sys.argv[3], sys.argv[2])\n")
+        out = tmp_path / "seg"
+        code = run_cli(
+            "segment", "--input", phantom_dir / "intensity.nii.gz",
+            "--semantic", f"exec:{sys.executable} {model} {{input}} {{output}} {phantom_dir / 'semantic.nii.gz'}",
+            "--instance", f"oracle:{phantom_dir / 'instance.nii.gz'}",
+            "--out-dir", out, "--spacing", "keep", "--patch", "160,192,32",
+        )
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == ["instance.nii.gz", "run.json", "semantic.nii.gz"]
+
+    def test_int16_image_with_a_negative_background(self, tmp_path):
+        # MRI files often store int16, which read_nifti takes for labels; the
+        # model must still get an image, negative voxels included
+        data = np.full((16, 48, 8), -145, dtype=np.int16)
+        for y in (8, 24, 40):
+            data[4:12, y - 3 : y + 3, 2:6] = 724
+        image = tmp_path / "image.nii"
+        # write_nifti stores labels as uint16; the header then says int16
+        write_nifti(Volume(data.view(np.uint16), kind="semantic"), image)
+        raw = bytearray(image.read_bytes())
+        struct.pack_into("<h", raw, 70, 4)  # datatype code 4: int16
+        image.write_bytes(bytes(raw))
+        assert read_nifti(image).data.min() == -145
+        truth = np.zeros(data.shape, dtype=np.uint16)
+        for k, y in enumerate((8, 24, 40), start=1):
+            truth[4:12, y - 3 : y + 3, 2:6] = k
+        write_nifti(Volume(truth, kind="instance"), tmp_path / "truth.nii.gz")
+        # the model labels as corpus what is brighter than 0
+        model = write_script(tmp_path, "model.py", """
+            import numpy as np
+            from spineseg.nifti import read_nifti, write_nifti
+            vol = read_nifti(sys.argv[1])
+            write_nifti(vol.with_data((vol.data > 0).astype(np.uint16), kind="semantic"), sys.argv[2])
+            """)
+        out = tmp_path / "seg"
+        code = run_cli(
+            "segment", "--input", image,
+            "--semantic", f"exec:{sys.executable} {model} {{input}} {{output}}",
+            "--instance", f"oracle:{tmp_path / 'truth.nii.gz'}",
+            "--out-dir", out, "--spacing", "keep", "--patch", "16,48,8",
+        )
+        assert code == 0
+        assert np.array_equal(read_nifti(out / "semantic.nii.gz").data, np.where(data > 0, Structure.CORPUS, 0))
+        assert np.array_equal(read_nifti(out / "instance.nii.gz").data, truth)
 
     def test_unknown_scheme_is_usage_error(self, phantom_dir, tmp_path):
         code = run_cli(
@@ -450,7 +499,14 @@ class TestTermination:
         pids = tmp_path / "pids"
         pids.mkdir()
         out = tmp_path / "seg"
-        env = {**os.environ, "PYTHONPATH": str(Path(spineseg.__file__).resolve().parents[1])}
+        # exchange files go to the system temporary directory
+        exchange = tmp_path / "tmp"
+        exchange.mkdir()
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(spineseg.__file__).resolve().parents[1]),
+            "TMPDIR": str(exchange),
+        }
         run = subprocess.Popen(
             [
                 sys.executable, "-m", "spineseg.cli", "segment",
@@ -470,11 +526,13 @@ class TestTermination:
                 time.sleep(0.05)
                 recorded = [int(p.name) for p in pids.iterdir()]
             assert recorded, "no model call started"
+            assert any(p.name.startswith("in_") for p in exchange.iterdir())
             run.send_signal(signum)
             assert run.wait(timeout=60) != 0
             recorded = [int(p.name) for p in pids.iterdir()]
             assert not [pid for pid in recorded if alive(pid)]
-            assert sorted(p.name for p in (out / "exchange").iterdir() if p.name.startswith(("in_", "log_"))) == []
+            assert sorted(p.name for p in exchange.iterdir() if p.name.startswith(("in_", "log_"))) == []
+            assert not out.exists()
         finally:
             run.kill()
             run.wait()

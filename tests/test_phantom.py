@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spineseg.labels import Structure, instance_relevant_codes
+from spineseg.labels import Structure, is_instance_relevant
 from spineseg.phantom import (
     NoiseSpec,
     _patch_seed,
@@ -95,7 +95,7 @@ class TestGeneratePhantom:
 
     def test_instance_semantic_foreground_agreement(self, standard_phantom):
         _, sem, inst = standard_phantom
-        relevant = np.isin(sem.data, sorted(instance_relevant_codes()))
+        relevant = is_instance_relevant(sem.data)
         assert np.array_equal(relevant, inst.data > 0)
 
     def test_corpus_components_ordered(self, standard_phantom):

@@ -21,7 +21,7 @@ import spineseg.pipeline as pipeline
 import spineseg.postproc as postproc
 from spineseg.assembly import assemble, check_answer
 from spineseg.labels import Structure
-from spineseg.nifti import write_nifti
+from spineseg.nifti import read_nifti, write_nifti
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, OracleSemanticPredictor, PhantomSpec, generate_phantom
 from spineseg.pipeline import (
     ExternalInstancePredictor,
@@ -659,6 +659,18 @@ class Echo:
         return patch.data
 
 
+class Thresholder:
+    """Corpus where the patch is brighter than 100; keeps each patch's kind
+    and a copy of its voxels."""
+
+    def __init__(self):
+        self.patches = []
+
+    def predict(self, patch, origin):
+        self.patches.append((patch.kind, patch.data.copy()))
+        return np.where(patch.data > 100, Structure.CORPUS, 0).astype(np.uint16)
+
+
 class CenterCorpus:
     def predict(self, window, cutout):
         return 2 * (window.data == Structure.CORPUS).astype(np.uint16)
@@ -709,6 +721,12 @@ def alive(pid):
 
 
 class TestExternalPredictors:
+    def test_package_exports_the_class_and_its_aliases(self):
+        from spineseg import ExternalInstancePredictor, ExternalPredictor, ExternalSemanticPredictor
+
+        assert ExternalPredictor is ExternalSemanticPredictor is ExternalInstancePredictor
+        assert "ExternalPredictor" in spineseg.__all__
+
     def test_label_round_trip(self, tmp_path, small_semantic):
         script = write_script(tmp_path, "identity.py", IDENTITY_SCRIPT)
         pred = ExternalSemanticPredictor(
@@ -1036,6 +1054,33 @@ class TestRunPipeline:
         for a, b in zip(want[:2], got[:2]):
             assert np.array_equal(a.data, b.data)
         assert len(want[2].assembly["cutouts"]) == 4
+
+    def test_integer_stored_image_is_resampled_as_an_image(self, tmp_path):
+        # MRI files often store integers, which read_nifti takes for labels;
+        # the same values stored as float32 must give the same patches
+        data = np.zeros((12, 32, 5))
+        for y in (4, 12, 20, 28):
+            data[3:9, y - 2 : y + 2, 1:4] = 200
+        runs = []
+        for dtype in (np.uint16, np.float32):
+            path = tmp_path / f"{np.dtype(dtype).name}.nii.gz"
+            # write_nifti stores label volumes as uint16 and images as float32
+            kind = "semantic" if dtype == np.uint16 else "intensity"
+            write_nifti(Volume(data.astype(dtype), (1.5, 1.5, 3.3), ("P", "I", "R"), kind), path)
+            labeler = Thresholder()
+            cfg = PipelineConfig(cutout_size=(24, 16, 10))
+            sem, inst, _ = run_pipeline(read_nifti(path), labeler, CenterCorpus(), cfg)
+            runs.append((labeler.patches, sem.data, inst.data))
+        assert read_nifti(tmp_path / "uint16.nii.gz").kind == "semantic"
+        (stored_int, *masks_int), (stored_float, *masks_float) = runs
+        assert len(stored_int) == len(stored_float) == 1
+        for (kind_i, patch_i), (kind_f, patch_f) in zip(stored_int, stored_float):
+            assert kind_i == kind_f == "intensity"
+            assert patch_i.dtype == patch_f.dtype == np.float32 and np.array_equal(patch_i, patch_f)
+            assert (patch_f % 1 != 0).any()  # interpolated, not nearest
+        for a, b in zip(masks_int, masks_float):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert set(np.unique(masks_float[1])) == {0, 1, 2, 3, 4}
 
     def test_empty_input_gives_empty_masks_and_warning(self, standard_phantom):
         img, sem, _ = standard_phantom

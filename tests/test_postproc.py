@@ -309,6 +309,54 @@ class TestEnforceConsistency:
         assert sem2[5, 5, 5] == Structure.SPINAL_CANAL and sem2[3, 3, 3] == Structure.SPINAL_CORD
         assert inst2[3, 3, 0] == 5 and inst2[5, 5, 0] == 4
 
+    def test_matches_per_label_reference_on_corner_orphans(self):
+        # an orphan in the first and in the last corner: each grown window
+        # leaves the volume on all three axes. Each touches three voxels of
+        # one id across its faces and three of another across its edges, a
+        # tie that goes to the smaller id
+        sem = np.zeros((5, 5, 5), dtype=np.uint16)
+        inst = np.zeros_like(sem)
+        for corner, face_id, edge_id in (((0, 0, 0), 3, 2), ((4, 4, 4), 4, 1)):
+            step = 1 if corner[0] == 0 else -1
+            sem[corner] = Structure.CORPUS
+            for axis in range(3):
+                face = np.array(corner)
+                face[axis] += step
+                edge = np.array(corner) + step
+                edge[axis] -= step
+                sem[tuple(face)] = sem[tuple(edge)] = Structure.CORPUS
+                inst[tuple(face)], inst[tuple(edge)] = face_id, edge_id
+        assert_matches_reference(sem, inst)
+        _, inst2, report = enforce_consistency(sem, inst)
+        assert inst2[0, 0, 0] == 2 and inst2[4, 4, 4] == 1
+        assert report.orphans_assigned == [(1, 2), (1, 1)]
+
+    def test_matches_per_label_reference_on_a_shared_contact(self):
+        # two orphans two voxels apart; the instance voxel between them lies
+        # in both shells and breaks each one's tie, so both must count it
+        sem = np.zeros((4, 7, 4), dtype=np.uint16)
+        inst = np.zeros_like(sem)
+        sem[0, 1:6, 1] = Structure.CORPUS
+        inst[0, 1:6:2, 1] = [6, 5, 7]
+        assert_matches_reference(sem, inst)
+        _, inst2, report = enforce_consistency(sem, inst)
+        assert inst2[0, 2, 1] == 5 and inst2[0, 4, 1] == 5
+        assert report.orphans_assigned == [(1, 5), (1, 5)]
+
+    def test_matches_per_label_reference_on_a_contactless_face_orphan(self):
+        # a disc (with one endplate voxel) on the x = 0 face touches no
+        # instance, so its id comes from its codes and the vertebra above
+        sem = np.zeros((8, 16, 6), dtype=np.uint16)
+        inst = np.zeros_like(sem)
+        sem[4:6, 2:4, 2:4] = Structure.CORPUS
+        inst[4:6, 2:4, 2:4] = 1
+        sem[0, 10:12, 2:4] = Structure.IVD
+        sem[0, 12, 2] = Structure.ENDPLATE
+        assert_matches_reference(sem, inst)
+        _, inst2, report = enforce_consistency(sem, inst)
+        assert (inst2[0, 10:13] == np.where(sem[0, 10:13] > 0, ivd_id(1), 0)).all()
+        assert report.orphans_assigned == [(5, ivd_id(1))]
+
     def test_contactless_orphan_keys_to_corpus_centroid(self):
         # vertebra 2's arcus reaches far down, so its whole-instance centroid
         # lies below the disc while its corpus centroid lies above it
