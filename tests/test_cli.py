@@ -317,7 +317,7 @@ class TestSegment:
         assert not (tmp_path / "seg").exists()
 
     def test_external_run_leaves_only_its_outputs(self, phantom_dir, tmp_path):
-        # the model answers every patch with the ground truth of the whole grid
+        # one patch covers the grid, and the model answers it with the ground truth
         model = write_script(tmp_path, "model.py", "import shutil\nshutil.copy(sys.argv[3], sys.argv[2])\n")
         out = tmp_path / "seg"
         code = run_cli(
