@@ -14,6 +14,7 @@ from __future__ import annotations
 from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import combinations, count
 
 import numpy as np
 
@@ -172,61 +173,56 @@ def cutout_window(vol: Volume, cutout: Cutout) -> Volume:
 
 
 @dataclass
-class WindowMask:
-    """A binary mask cropped to its bounding box, placed in volume space."""
-
-    origin: tuple[int, int, int]
-    mask: np.ndarray
-    count: int
-
-
-def window_pair_dice(a: WindowMask, b: WindowMask) -> float:
-    shared = overlap(a.origin, a.mask.shape, b.origin, b.mask.shape)
-    inter = 0 if shared is None else int((a.mask[shared[0]] & b.mask[shared[1]]).sum())
-    return 2.0 * inter / (a.count + b.count)
-
-
-@dataclass
 class VertebraGroup:
     """All predictions that describe one vertebra, with their agreement.
 
     Gathered by window-index arithmetic: the center label of window k, the
     above label of window k+1, and the below label of window k-1. Only
-    non-empty masks are kept; agreement is the mean pairwise Dice (1.0
-    when fewer than two predictions exist).
+    non-empty masks are kept, stacked along axis 0 over their union box,
+    which starts at ``origin`` in volume indices and may leave the volume;
+    agreement is their mean pairwise Dice (1.0 for a single mask).
     """
 
     target_index: int
-    predictions: list[WindowMask]
+    origin: tuple[int, int, int]
+    masks: np.ndarray
     agreement: float
 
 
-def collect_groups(cutouts: list[Cutout], predictions: list[np.ndarray]) -> list[VertebraGroup]:
-    """Group per-window integer label predictions by the vertebra they describe."""
-    if len(cutouts) != len(predictions):
-        raise ValueError("need exactly one prediction per cutout")
-    n = len(cutouts)
-    # three compares and projections per window take a quarter of the
-    # time ndi.find_objects takes to visit the window voxel by voxel
-    boxes = [[bounding_box(p == label) for label in range(1, LABEL_BELOW + 1)] for p in predictions]
-    groups = []
-    for k in range(1, n + 1):
-        masks = []
-        for i, label in ((k, LABEL_CENTER), (k + 1, LABEL_ABOVE), (k - 1, LABEL_BELOW)):
-            box = boxes[i - 1][label - 1] if 1 <= i <= n else None
+def collect_groups(cutouts: list[Cutout], predictions) -> list[VertebraGroup]:
+    """Group per-window integer label predictions by the vertebra they describe.
+
+    ``predictions`` is an iterable with one prediction per cutout. Each is
+    cut down to its label masks (bounding box and crop) as it arrives and
+    is not kept.
+    """
+    stream = iter(predictions)
+    crops, n = {}, 0  # (window number, label) -> (origin, mask), for each label present
+    # one flat zip: nested iterators' reused result tuples keep older answers alive
+    for n, cutout, pred in zip(count(1), cutouts, stream):
+        for label in range(1, LABEL_BELOW + 1):
+            # three compares and projections per window take a quarter of the
+            # time ndi.find_objects takes to visit the window voxel by voxel
+            box = bounding_box(pred == label)
             if box is not None:
-                crop = predictions[i - 1][box] == label
-                origin = tuple(o + b.start for o, b in zip(cutouts[i - 1].origin, box))
-                masks.append(WindowMask(origin=origin, mask=crop, count=int(crop.sum())))
-        if not masks:
+                crops[n, label] = (np.add(cutout.origin, [b.start for b in box]), pred[box] == label)
+    if n != len(cutouts) or next(stream, None) is not None:
+        raise ValueError("need exactly one prediction per cutout")
+    groups = []
+    for k in range(1, len(cutouts) + 1):
+        keys = ((k, LABEL_CENTER), (k + 1, LABEL_ABOVE), (k - 1, LABEL_BELOW))
+        placed = [crops[key] for key in keys if key in crops]
+        if not placed:
             continue
-        pairs = [
-            window_pair_dice(masks[i], masks[j])
-            for i in range(len(masks))
-            for j in range(i + 1, len(masks))
-        ]
+        lo = np.min([o for o, _ in placed], axis=0)
+        hi = np.max([o + m.shape for o, m in placed], axis=0)
+        masks = np.zeros((len(placed), *(hi - lo)), dtype=bool)
+        for layer, (o, m) in zip(masks, placed):
+            layer[tuple(slice(a, a + s) for a, s in zip(o - lo, m.shape))] = m
+        counts = [int(layer.sum()) for layer in masks]
+        pairs = [2.0 * int((a & b).sum()) / (ca + cb) for (a, ca), (b, cb) in combinations(zip(masks, counts), 2)]
         agreement = float(np.mean(pairs)) if pairs else 1.0
-        groups.append(VertebraGroup(target_index=k, predictions=masks, agreement=agreement))
+        groups.append(VertebraGroup(k, tuple(int(v) for v in lo), masks, agreement))
     return groups
 
 
@@ -251,20 +247,13 @@ def reconcile(groups: list[VertebraGroup], dims) -> tuple[np.ndarray, ReconcileS
     stats = ReconcileStats()
     order = sorted(groups, key=lambda g: (-g.agreement, g.target_index))
     for group in order:
-        need = (len(group.predictions) + 1) // 2
-        lo = [min(wm.origin[a] for wm in group.predictions) for a in range(3)]
-        hi = [max(wm.origin[a] + wm.mask.shape[a] for wm in group.predictions) for a in range(3)]
-        inside = overlap((0, 0, 0), dims, lo, [h - l for l, h in zip(lo, hi)])
+        need = (len(group.masks) + 1) // 2
+        inside = overlap((0, 0, 0), dims, group.origin, group.masks.shape[1:])
         if inside is None:
             stats.dropped_targets.append(group.target_index)
             continue
-        box = inside[0]
-        start = [b.start for b in box]
-        votes = np.zeros(tuple(b.stop - b.start for b in box), dtype=np.int8)
-        for wm in group.predictions:
-            shared = overlap(start, votes.shape, wm.origin, wm.mask.shape)
-            if shared is not None:
-                votes[shared[0]] += wm.mask[shared[1]]
+        box, clip = inside
+        votes = group.masks[(slice(None), *clip)].sum(axis=0, dtype=np.int8)
         fused = votes >= need
         region = out[box]
         free = region == 0
@@ -415,11 +404,9 @@ def assemble(
     ]
     cut = partial(cutout_window, semantic)
     with closing(answers([predictor], cut, cutouts, cutout_size, LABEL_BELOW + 1)) as stream:
-        predictions = [out for (out,) in stream]
-
-    groups = collect_groups(cutouts, predictions)
+        groups = collect_groups(cutouts, (out for (out,) in stream))
     report.groups = [
-        {"target_index": g.target_index, "n_predictions": len(g.predictions), "agreement": g.agreement}
+        {"target_index": g.target_index, "n_predictions": len(g.masks), "agreement": g.agreement}
         for g in groups
     ]
     inst, stats = reconcile(groups, semantic.dims)

@@ -44,7 +44,6 @@ from .pipeline import (
     TilingSpec,
     run_pipeline,
 )
-from .volume import checked_spacing
 
 
 class UsageError(Exception):
@@ -234,18 +233,12 @@ def cmd_segment(args) -> int:
     out = Path(args.out_dir)
 
     patch = _tuple_of(args.patch, int, "--patch")
+    target = None if args.spacing == "keep" else _tuple_of(args.spacing, float, "--spacing")
     try:
         tiling = TilingSpec(patch_size=patch, overlap=args.overlap, blend=args.blend)
+        config = PipelineConfig(target_spacing=target, tiling=tiling)
     except ValueError as e:
         raise UsageError(str(e))
-    if args.spacing == "keep":
-        target = None
-    else:
-        try:
-            target = checked_spacing(_tuple_of(args.spacing, float, "--spacing"), "--spacing")
-        except ValueError as e:
-            raise UsageError(str(e))
-    config = PipelineConfig(target_spacing=target, tiling=tiling)
 
     semantic_pred = _parse_predictor(args.semantic, "semantic", args.timeout)
     instance_pred = _parse_predictor(args.instance, "instance", args.timeout)

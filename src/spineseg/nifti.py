@@ -22,6 +22,7 @@ from .labels import LABEL_MAX, checked_labels
 from .volume import AXIS_CODES, Volume, checked_spacing
 
 HEADER_SIZE = 348
+DATA_OFFSET = HEADER_SIZE + 4  # the header, then the 4-byte extension flag
 MAGIC_SINGLE = b"n+1\x00"
 
 # NIfTI-1 datatype code -> numpy dtype (endian applied at read time)
@@ -154,8 +155,9 @@ def read_nifti(path, kind: str | None = None) -> Volume:
     except ValueError as e:
         raise NiftiError(f"{path.name}: {e}")
 
-    # an offset past the end (infinity included) leaves no voxels, not an OverflowError
-    offset = int(min(vox_offset, len(raw))) if vox_offset >= HEADER_SIZE else HEADER_SIZE
+    # no voxel comes before DATA_OFFSET (a NaN offset included); an offset
+    # past the end (infinity included) leaves no voxels, not an OverflowError
+    offset = int(min(vox_offset if vox_offset >= DATA_OFFSET else DATA_OFFSET, len(raw)))
     count = int(np.prod(dims))
     nbytes = count * dt.itemsize
     if len(raw) - offset < nbytes:
@@ -208,13 +210,13 @@ def write_nifti(vol: Volume, path, *, compresslevel: int = _GZIP_LEVEL) -> None:
             raise NiftiError(f"axis {axis} has {n} voxels; NIfTI-1 stores at most {_DIM_MAX} per axis")
     affine = _build_affine(vol)
     # header, four zero extension bytes and the voxels in one buffer
-    blob = bytearray(HEADER_SIZE + 4 + data.size * dtype.itemsize)
+    blob = bytearray(DATA_OFFSET + data.size * dtype.itemsize)
     struct.pack_into("<i", blob, 0, HEADER_SIZE)
     struct.pack_into("<8h", blob, 40, 3, *vol.dims, 1, 1, 1, 1)
     struct.pack_into("<h", blob, 70, datatype)
     struct.pack_into("<h", blob, 72, 8 * dtype.itemsize)  # bitpix
     struct.pack_into("<8f", blob, 76, 1.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", blob, 108, float(HEADER_SIZE + 4))  # vox_offset
+    struct.pack_into("<f", blob, 108, float(DATA_OFFSET))  # vox_offset
     struct.pack_into("<2f", blob, 112, 1.0, 0.0)  # scl_slope, scl_inter
     blob[123] = 2  # xyzt_units: millimetres
     struct.pack_into("<2h", blob, 252, 0, 1)  # qform off, sform on
@@ -222,7 +224,7 @@ def write_nifti(vol: Volume, path, *, compresslevel: int = _GZIP_LEVEL) -> None:
     struct.pack_into("<4f", blob, 296, *affine[1])
     struct.pack_into("<4f", blob, 312, *affine[2])
     blob[344:348] = MAGIC_SINGLE
-    voxels = np.ndarray(vol.dims, dtype=dtype, buffer=blob, offset=HEADER_SIZE + 4, order="F")
+    voxels = np.ndarray(vol.dims, dtype=dtype, buffer=blob, offset=DATA_OFFSET, order="F")
     # slabs along axis 1 keep the C-order source and the Fortran-order
     # target near in memory; one whole-array copy strides across planes
     for j in range(0, voxels.shape[1], _COPY_SLAB):

@@ -26,6 +26,17 @@ from .volume import Volume, binary_erosion, overlap, window_view
 DEFAULT_DIMS = (256, 384, 64)
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as an int; ValueError unless it is a whole number >= 0."""
+    try:
+        whole = int(seed) == seed
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or seed < 0:
+        raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     """Parameters of a synthetic spine; identical spec means identical phantom."""
@@ -46,6 +57,7 @@ class PhantomSpec:
     def __post_init__(self):
         if not 3 <= self.n_vertebrae <= 24:
             raise ValueError(f"n_vertebrae must be in 3..24, got {self.n_vertebrae}")
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         positives = (
             *self.corpus_radii,
             self.disc_thickness,
@@ -97,6 +109,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         for name in ("p_erosion", "p_labeldrop", "p_downup"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

@@ -1,5 +1,7 @@
 """Cutout-based instance assembly: windows, grouping, voting, id assignment."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
@@ -10,7 +12,6 @@ from spineseg.assembly import (
     PredictorError,
     TooManyVertebraeError,
     VertebraGroup,
-    WindowMask,
     assemble,
     assign_disc_endplate_instances,
     collect_groups,
@@ -19,7 +20,6 @@ from spineseg.assembly import (
     make_cutouts,
     reconcile,
     vertebra_centroids,
-    window_pair_dice,
 )
 from spineseg.labels import ENDPLATE_ID_BASE, IVD_ID_BASE, Structure
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, PhantomSpec, generate_phantom
@@ -94,17 +94,29 @@ class TestMakeCutouts:
         assert np.array_equal(win.data[20:, 20:, 8:], inst.data[:44, :44, :24])
 
 
-class TestWindowPairDice:
+def pair_group(shift, side):
+    """The one group of two windows ``shift`` apart along x: window 1 labels
+    a cube of ``side`` as its center, window 2 the same cube as above."""
+    size = (16, 8, 8)
+    cutouts = [Cutout(center=(0.0, 0.0, 0.0), origin=(x, 0, 0), size=size, index=i) for i, x in ((1, 0), (2, shift))]
+    predictions = [np.zeros(size, dtype=np.uint16) for _ in cutouts]
+    predictions[0][:side, :side, :side] = 2
+    predictions[1][:side, :side, :side] = 1
+    (group,) = collect_groups(cutouts, predictions)
+    return group
+
+
+class TestPairwiseDice:
     def test_hand_value(self):
-        a = WindowMask(origin=(0, 0, 0), mask=np.ones((4, 4, 4), dtype=bool), count=64)
-        b = WindowMask(origin=(2, 0, 0), mask=np.ones((4, 4, 4), dtype=bool), count=64)
-        # overlap is a 2x4x4 slab
-        assert window_pair_dice(a, b) == pytest.approx(2 * 32 / 128)
+        g = pair_group(2, 4)
+        # the two 4x4x4 cubes share a 2x4x4 slab
+        assert g.agreement == 2 * 32 / 128
+        assert g.origin == (0, 0, 0) and g.masks.shape == (2, 6, 4, 4)
 
     def test_disjoint_extents(self):
-        a = WindowMask(origin=(0, 0, 0), mask=np.ones((2, 2, 2), dtype=bool), count=8)
-        b = WindowMask(origin=(10, 0, 0), mask=np.ones((2, 2, 2), dtype=bool), count=8)
-        assert window_pair_dice(a, b) == 0.0
+        g = pair_group(10, 2)
+        assert g.agreement == 0.0
+        assert g.masks.shape == (2, 12, 2, 2)
 
 
 class TestCollectGroups:
@@ -117,10 +129,10 @@ class TestCollectGroups:
         groups = collect_groups(cutouts, predictions)
         assert [g.target_index for g in groups] == list(range(1, 8))
         by_target = {g.target_index: g for g in groups}
-        assert len(by_target[1].predictions) == 2
-        assert len(by_target[7].predictions) == 2
+        assert len(by_target[1].masks) == 2
+        assert len(by_target[7].masks) == 2
         for k in range(2, 7):
-            assert len(by_target[k].predictions) == 3
+            assert len(by_target[k].masks) == 3
         assert all(g.agreement == pytest.approx(1.0) for g in groups)
 
     def test_agreement_is_mean_pairwise_dice(self):
@@ -141,7 +153,7 @@ class TestCollectGroups:
         assert len(groups) == 1
         g = groups[0]
         assert g.target_index == 2
-        assert len(g.predictions) == 3
+        assert len(g.masks) == 3
         d = 2 * 8 / (64 + 8)
         assert g.agreement == pytest.approx((1.0 + d + d) / 3)
 
@@ -157,8 +169,12 @@ class TestCollectGroups:
         assert collect_groups([cut], [np.zeros((8, 8, 8), dtype=np.uint16)]) == []
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="one prediction per cutout"):
-            collect_groups([], [np.zeros((2, 2, 2))])
+        cut = Cutout(center=(1.0, 1.0, 1.0), origin=(0, 0, 0), size=(2, 2, 2), index=1)
+        for cutouts, n in (([], 1), ([cut], 0), ([cut], 2)):
+            with pytest.raises(ValueError, match="one prediction per cutout"):
+                collect_groups(cutouts, [np.zeros((2, 2, 2))] * n)
+            with pytest.raises(ValueError, match="one prediction per cutout"):
+                collect_groups(cutouts, (np.zeros((2, 2, 2)) for _ in range(n)))
 
     def test_equals_per_label_reference(self):
         rng = np.random.default_rng(11)
@@ -192,63 +208,53 @@ class TestCollectGroups:
             want = reference_groups(cutouts, predictions)
             assert [g.target_index for g in got] == [g.target_index for g in want], trial
             for g, w in zip(got, want):
-                assert g.agreement == w.agreement
-                assert len(g.predictions) == len(w.predictions)
-                for a, b in zip(g.predictions, w.predictions):
-                    assert a.origin == b.origin and a.count == b.count
-                    assert a.mask.dtype == b.mask.dtype and np.array_equal(a.mask, b.mask)
+                assert g.origin == w.origin and g.agreement == w.agreement
+                assert g.masks.dtype == w.masks.dtype and np.array_equal(g.masks, w.masks)
 
 
 def reference_groups(cutouts, predictions):
-    """``collect_groups`` as a full-window scan per (cutout, label)."""
+    """``collect_groups`` as (cutout, label) masks pasted into a volume-space
+    array, one layer each, with the agreement counted over the whole array."""
     n = len(cutouts)
+    pad = 8  # room for windows that start left of the volume
+    space = [pad + max(c.origin[a] + c.size[a] for c in cutouts) for a in range(3)]
     groups = []
     for k in range(1, n + 1):
-        masks = []
+        layers = []
         for cut_index, label in ((k, 2), (k + 1, 1), (k - 1, 3)):
-            if not 1 <= cut_index <= n:
+            if not 1 <= cut_index <= n or not (predictions[cut_index - 1] == label).any():
                 continue
-            m = predictions[cut_index - 1] == label
-            box = bounding_box(m)
-            if box is None:
-                continue
-            origin = tuple(cutouts[cut_index - 1].origin[a] + box[a].start for a in range(3))
-            crop = np.ascontiguousarray(m[box])
-            masks.append(WindowMask(origin=origin, mask=crop, count=int(crop.sum())))
-        if not masks:
+            cut = cutouts[cut_index - 1]
+            layer = np.zeros(space, dtype=bool)
+            layer[tuple(slice(pad + o, pad + o + s) for o, s in zip(cut.origin, cut.size))] = (
+                predictions[cut_index - 1] == label
+            )
+            layers.append(layer)
+        if not layers:
             continue
         pairs = [
-            window_pair_dice(masks[i], masks[j])
-            for i in range(len(masks))
-            for j in range(i + 1, len(masks))
+            2.0 * int((layers[i] & layers[j]).sum()) / int(layers[i].sum() + layers[j].sum())
+            for i in range(len(layers))
+            for j in range(i + 1, len(layers))
         ]
         agreement = float(np.mean(pairs)) if pairs else 1.0
-        groups.append(VertebraGroup(target_index=k, predictions=masks, agreement=agreement))
+        box = bounding_box(np.any(layers, axis=0))
+        origin = tuple(b.start - pad for b in box)
+        groups.append(VertebraGroup(k, origin, np.stack(layers)[(slice(None), *box)], agreement))
     return groups
 
 
 def single_mask_group(target, agreement, origin, shape):
-    mask = np.ones(shape, dtype=bool)
-    wm = WindowMask(origin=origin, mask=mask, count=int(mask.sum()))
-    return VertebraGroup(target_index=target, predictions=[wm], agreement=agreement)
+    return VertebraGroup(target, origin, np.ones((1, *shape), dtype=bool), agreement)
 
 
 class TestReconcile:
     def test_majority_vote_recovers_exact_mask(self):
-        size = (16, 24, 8)
-        cutouts = [
-            Cutout(center=(8.0, 12.0, 4.0), origin=(0, 0, 0), size=size, index=1),
-            Cutout(center=(8.0, 20.0, 4.0), origin=(0, 8, 0), size=size, index=2),
-            Cutout(center=(8.0, 28.0, 4.0), origin=(0, 16, 0), size=size, index=3),
-        ]
-        p1 = np.zeros(size, dtype=np.uint16)
-        p1[5:7, 18:20, 3:5] = 3  # an eroded dissenter
-        p2 = np.zeros(size, dtype=np.uint16)
-        p2[4:8, 9:13, 2:6] = 2
-        p3 = np.zeros(size, dtype=np.uint16)
-        p3[4:8, 1:5, 2:6] = 1
-        groups = collect_groups(cutouts, [p1, p2, p3])
-        out, stats = reconcile(groups, (16, 40, 8))
+        # a 4x4x4 box E seen twice, and an eroded dissenter: its inner 2x2x2
+        masks = np.ones((3, 4, 4, 4), dtype=bool)
+        masks[2] = box_mask((4, 4, 4), (1, 1, 1), (3, 3, 3))
+        group = VertebraGroup(target_index=2, origin=(4, 17, 2), masks=masks, agreement=1.0)
+        out, stats = reconcile([group], (16, 40, 8))
         expected = np.zeros((16, 40, 8), dtype=np.uint16)
         expected[4:8, 17:21, 2:6] = 2  # two of three votes everywhere in E
         assert np.array_equal(out, expected)
@@ -270,11 +276,10 @@ class TestReconcile:
         assert (out[0:4, 4:6, 0:4] == 1).all()
 
     def test_union_fallback_when_vote_empties(self):
-        masks = [
-            WindowMask(origin=(i * 2, 0, 0), mask=np.ones((1, 1, 1), dtype=bool), count=1)
-            for i in range(3)
-        ]
-        group = VertebraGroup(target_index=4, predictions=masks, agreement=0.0)
+        masks = np.zeros((3, 5, 1, 1), dtype=bool)
+        for i in range(3):
+            masks[i, 2 * i] = True  # three single voxels two apart along x
+        group = VertebraGroup(target_index=4, origin=(0, 0, 0), masks=masks, agreement=0.0)
         out, stats = reconcile([group], (8, 8, 8))
         assert int((out == 4).sum()) == 3
         assert stats.union_fallbacks == [4]
@@ -546,6 +551,24 @@ class TestAssembleEndToEnd:
         out, report = assemble(sem, oracle)
         vert_ids = {int(v) for v in np.unique(out.data) if 1 <= v < 100}
         assert vert_ids == set(range(1, 8))
+
+    def test_no_instance_answer_outlives_its_window(self):
+        data = np.zeros((8, 36, 8), dtype=np.uint16)
+        for y in range(0, 36, 6):
+            data[2:6, y : y + 4, 2:6] = Structure.CORPUS  # six corpus blocks
+        answers, alive = [], []
+
+        class Keeper:
+            def predict(self, window, cutout):
+                alive.append(sum(ref() is not None for ref in answers))
+                out = np.where(window.data == Structure.CORPUS, 2, 0)
+                answers.append(weakref.ref(out))
+                return out
+
+        out, report = assemble(make_volume(data), Keeper(), cutout_size=(8, 8, 8))
+        assert out.data.max() == 6 and report.missing_targets == []
+        # the answer of the call before may still be on its way into grouping
+        assert len(alive) == 6 and max(alive) <= 1, alive
 
     def test_empty_semantic_mask(self, standard_phantom):
         _, sem, _ = standard_phantom

@@ -129,6 +129,20 @@ class TestPhantom:
         bad.write_text(json.dumps({"n_vertebrae": 99}))
         assert run_cli("phantom", "--out-dir", tmp_path / "x", "--spec", bad) == 2
 
+    @pytest.mark.parametrize(
+        "source, seed, message",
+        [("flag", -3, "invalid phantom parameters"), ("spec", 2.5, "invalid phantom spec")],
+        ids=["flag", "spec"],
+    )
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, source, seed, message):
+        args = ("--seed", seed)
+        if source == "spec":
+            args = ("--spec", tmp_path / "spec.json")
+            args[1].write_text(json.dumps({"n_vertebrae": 4, "seed": seed}))
+        assert run_cli("phantom", "--out-dir", tmp_path / "x", *args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 def split_sources(gt: Volume):
     """Carve a ground-truth semantic mask into the three annotation sources."""
@@ -402,6 +416,19 @@ class TestSegment:
         )
         assert code == 2
         assert "timeout must be a finite positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_bad_noise_seed_is_usage_error(self, phantom_dir, tmp_path, capsys, seed):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({"seed": seed}))
+        code = run_cli(
+            "segment", "--input", phantom_dir / "intensity.nii.gz",
+            "--semantic", f"oracle:{phantom_dir / 'semantic.nii.gz'},{noise}",
+            "--instance", f"oracle:{phantom_dir / 'instance.nii.gz'}",
+            "--out-dir", tmp_path / "seg",
+        )
+        assert code == 2
+        assert "invalid noise spec" in capsys.readouterr().err
 
     def test_bad_overlap_is_usage_error(self, phantom_dir, tmp_path):
         code = run_cli(

@@ -293,6 +293,19 @@ class TestHandBuiltFixtures:
         vol = read_nifti(p)
         assert np.array_equal(vol.data, data)
 
+    @pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+    @pytest.mark.parametrize("vox_offset", [0.0, 348.0, 350.0])
+    def test_voxels_never_start_before_the_extension_flag_ends(self, tmp_path, name, vox_offset):
+        # a single file holds the 348-byte header, then a 4-byte extension flag
+        data = np.arange(120, dtype=np.uint16).reshape(4, 5, 6)
+        got = []
+        for offset in (vox_offset, 352.0):
+            blob = make_header(data.shape, datatype=512, bitpix=16, vox_offset=offset) + bytes(4) + data.tobytes("F")
+            p = tmp_path / f"{offset}-{name}"
+            p.write_bytes(gzip.compress(blob, mtime=0) if name.endswith(".gz") else blob)
+            got.append(read_nifti(p).data)
+        assert np.array_equal(got[0], got[1]) and np.array_equal(got[0], data)
+
 
 def same_array(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b)

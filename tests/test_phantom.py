@@ -47,6 +47,8 @@ class TestSpecValidation:
             dict(fuse_pairs=((2, 4),)),
             dict(fuse_pairs=((7, 8),)),  # out of range for 7 vertebrae
             dict(canal_radius=-1.0),
+            dict(seed=-3),
+            dict(seed=2.5),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -58,6 +60,13 @@ class TestSpecValidation:
             NoiseSpec(p_erosion=1.5)
         with pytest.raises(ValueError):
             NoiseSpec(erosion_radius=-1)
+
+    @pytest.mark.parametrize("spec", [PhantomSpec, NoiseSpec])
+    def test_seed_is_a_whole_number_at_least_zero(self, spec):
+        assert spec(seed=2.0).seed == 2 and type(spec(seed=np.int64(2)).seed) is int
+        for bad in (-1, 2.5, float("nan"), float("inf"), "3", None):
+            with pytest.raises(ValueError, match="seed must be a whole number >= 0"):
+                spec(seed=bad)
 
     def test_too_many_vertebrae_for_volume(self):
         with pytest.raises(ValueError, match="mm of column"):
