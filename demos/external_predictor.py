@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from spineseg import (
-    ExternalSemanticPredictor,
+    ExternalPredictor,
     PhantomSpec,
     generate_phantom,
     predict_semantic,
@@ -38,7 +38,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         script = Path(tmp) / "threshold_model.py"
         script.write_text(PREDICTOR)
-        predictor = ExternalSemanticPredictor(
+        predictor = ExternalPredictor(
             f"{sys.executable} {script} {{input}} {{output}}",
             exchange_dir=Path(tmp) / "exchange",
         )

@@ -34,9 +34,7 @@ from .phantom import (
     generate_phantom,
 )
 from .pipeline import (
-    ExternalInstancePredictor,
     ExternalPredictor,
-    ExternalSemanticPredictor,
     PipelineConfig,
     PredictorError,
     RunReport,
@@ -48,15 +46,16 @@ from .pipeline import (
 from .postproc import ConsistencyReport, enforce_consistency, foreground_equal
 from .volume import Volume, connected_components, resample, to_canonical
 
+# former names of ExternalPredictor, still imported by perfbench/workloads.py
+ExternalSemanticPredictor = ExternalInstancePredictor = ExternalPredictor
+
 __all__ = [
     "__version__",
     "AnnotationSources",
     "AssemblyReport",
     "ConsistencyReport",
     "Cutout",
-    "ExternalInstancePredictor",
     "ExternalPredictor",
-    "ExternalSemanticPredictor",
     "NiftiError",
     "NoiseSpec",
     "OracleInstancePredictor",

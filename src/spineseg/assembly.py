@@ -18,7 +18,7 @@ from itertools import combinations, count
 
 import numpy as np
 
-from .labels import VERTEBRA_ID_MAX, Structure, checked_labels, is_vertebra_id, structure_instance_id, writable_instances
+from .labels import INSTANCE_ID_MAX, VERTEBRA_ID_MAX, Structure, checked_labels, is_vertebra_id, structure_instance_id
 from .volume import (
     Volume,
     bounding_box,
@@ -123,7 +123,7 @@ def find_corpus_centers(semantic: Volume, min_volume_fraction: float = MIN_VOLUM
     component volume are treated as speckle and dropped.
     """
     corpus = semantic.data == Structure.CORPUS
-    comps = connected_components(corpus, connectivity=26)
+    comps = connected_components(corpus)
     if comps.count == 0:
         return []
     median = float(np.median(comps.sizes))
@@ -311,14 +311,14 @@ def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndar
     (endplate) id of vertebra k on its voxels not yet claimed, where k is
     the vertebra that ``vertebra_above`` picks for the component's
     centroid. A component with no vertebra above is keyed to the topmost
-    vertebra and flagged. The ids go into a copy of ``vertebra_instances``,
-    widened when its dtype cannot hold them.
+    vertebra and flagged. ``vertebra_instances`` passes ``checked_labels``
+    (ids 0..``INSTANCE_ID_MAX``), and the ids go into a uint16 copy of it.
     """
-    inst = writable_instances(vertebra_instances)
+    inst = checked_labels(vertebra_instances, INSTANCE_ID_MAX + 1).copy()
     codes = (Structure.IVD, Structure.ENDPLATE)
 
     def class_components():
-        return [connected_components(semantic.data == code, connectivity=26) for code in codes]
+        return [connected_components(semantic.data == code) for code in codes]
 
     # the centroids read inst, the class components only the semantic mask;
     # one call labels both classes, so one thread does
@@ -371,11 +371,14 @@ def assemble(
     answer with an integral label array of the window's shape with values
     in {0, 1, 2, 3} (integral floats are accepted). Any other answer,
     scores included, raises ``PredictorError`` (see ``check_answer``).
-    A ``cutout_size`` that is not 3 whole numbers >= 1 raises ValueError,
-    and more than ``VERTEBRA_ID_MAX`` corpus centres raise
-    ``TooManyVertebraeError`` before the predictor is called.
+    The semantic mask passes ``checked_labels`` (codes 0..14) and the
+    phase works on that uint16 array. A ``cutout_size`` that is not 3
+    whole numbers >= 1 raises ValueError, and more than
+    ``VERTEBRA_ID_MAX`` corpus centres raise ``TooManyVertebraeError``
+    before the predictor is called.
     """
     cutout_size = checked_window_size(cutout_size, "cutout_size")
+    semantic = semantic.with_data(checked_labels(semantic.data, len(Structure)), kind="semantic")
     report = AssemblyReport()
     centers = find_corpus_centers(semantic, min_volume_fraction)
     empty = Volume(

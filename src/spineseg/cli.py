@@ -214,9 +214,12 @@ def _parse_predictor(uri: str, role: str, timeout: float):
                 noise = NoiseSpec.from_json(noise_path.read_text())
             except (ValueError, TypeError) as e:
                 raise UsageError(f"invalid noise spec {parts[1]}: {e}")
-        if role == "semantic":
-            return OracleSemanticPredictor(gt, noise)
-        return OracleInstancePredictor(gt, None, noise)
+        try:
+            if role == "semantic":
+                return OracleSemanticPredictor(gt, noise)
+            return OracleInstancePredictor(gt, None, noise)
+        except ValueError as e:
+            raise RunError(f"invalid {role} oracle ground truth {parts[0]}: {e}")
     if uri.startswith("exec:"):
         command = uri[len("exec:") :]
         if not command.strip():
@@ -361,9 +364,11 @@ def _report_lines(payload: dict) -> list[str]:
     if "instances" in payload:
         lines.append("instance metrics:")
         for kind, entry in payload["instances"].items():
+            instance_dsc = "n/a" if entry["instance_DSC"] is None else f"{entry['instance_DSC']:.4f}"
+            assd = "n/a" if entry["ASSD"] is None else f"{entry['ASSD']:.4f} mm"
             lines.append(
-                f"  {kind}: DSC {entry['DSC']:.4f}, RQ {entry['RQ']:.4f}, "
-                f"SQ {entry['SQ']:.4f}, PQ {entry['PQ']:.4f}, "
+                f"  {kind}: DSC {entry['DSC']:.4f}, instance DSC {instance_dsc}, RQ {entry['RQ']:.4f}, "
+                f"SQ {entry['SQ']:.4f}, PQ {entry['PQ']:.4f}, ASSD {assd}, "
                 f"TP {entry['TP']}, FP {entry['FP']}, FN {entry['FN']}"
             )
     if "label_voxels" in payload:

@@ -70,7 +70,7 @@ def _endplate_layer(data: np.ndarray) -> np.ndarray:
     if not corpus.any() or not ivd.any():
         return np.zeros(data.shape, dtype=bool)
     cross = ndi.generate_binary_structure(3, 1)
-    layer = fill_holes(binary_closing(ci, 1)) & ~ci
+    layer = fill_holes(binary_closing(ci)) & ~ci
     layer &= ndi.binary_dilation(corpus, structure=cross)
     layer &= ndi.binary_dilation(ivd, structure=cross)
     return layer

@@ -75,15 +75,6 @@ def is_vertebra_id(ids):
     return (ids >= 1) & (ids <= VERTEBRA_ID_MAX)
 
 
-def writable_instances(ids) -> np.ndarray:
-    """A copy of an instance-id array that can take every instance id: in
-    its own dtype when that holds ``INSTANCE_ID_MAX``, else widened."""
-    ids = np.asarray(ids)
-    if ids.dtype.kind in "iu" and np.iinfo(ids.dtype).max >= INSTANCE_ID_MAX:
-        return ids.copy()
-    return ids.astype(np.promote_types(ids.dtype, np.min_scalar_type(INSTANCE_ID_MAX)))
-
-
 def structure_instance_id(code: int, order_index):
     """Instance id of a structure keyed to vertebra ``order_index``: the
     disc id for a disc, the endplate id for an endplate, and the vertebra
@@ -110,11 +101,11 @@ def classify_instance_id(value: int) -> tuple[str, int]:
 
 def checked_labels(values, n_labels: int) -> np.ndarray:
     """``values`` as labels: whole numbers in ``0..n_labels - 1``, for
-    ``n_labels`` up to 65536. Integer arrays come back as they are, bool
-    and integral float arrays as uint16. Anything else (non-numeric or
-    complex dtypes, fractions, NaN, infinities, values out of range)
-    raises ValueError naming the rule and the range found. Integrality is
-    tested before any cast, so nothing warns."""
+    ``n_labels`` up to 65536, as uint16. A uint16 array comes back as the
+    same object, any other accepted array as a uint16 copy. Anything else
+    (non-numeric or complex dtypes, fractions, NaN, infinities, values out
+    of range) raises ValueError naming the rule and the range found.
+    Integrality and range are tested before the cast, so nothing warns."""
     arr = np.asarray(values)
     rule = f"labels must be whole numbers in 0..{n_labels - 1}"
     if arr.dtype.kind not in "biuf":
@@ -126,7 +117,7 @@ def checked_labels(values, n_labels: int) -> np.ndarray:
             raise ValueError(f"{rule}; found non-integral values in {lo}..{hi}")
         if lo < 0 or hi >= n_labels:
             raise ValueError(f"{rule}; found {lo}..{hi}, outside that range")
-    return arr if arr.dtype.kind in "iu" else arr.astype(np.uint16)
+    return arr if arr.dtype == np.uint16 else arr.astype(np.uint16)
 
 
 def label_map() -> list[dict]:

@@ -135,12 +135,6 @@ def assd(a, b, spacing=None) -> float:
     return _assd_pairs(ma.view(np.uint8), mb.view(np.uint8), [(1, 1)], spacing)[0]
 
 
-def _labels(x) -> np.ndarray:
-    """The label array of ``x`` as uint16, checked by ``checked_labels``
-    to hold whole numbers in 0..LABEL_MAX."""
-    return checked_labels(as_array(x), LABEL_MAX + 1).astype(np.uint16, copy=False)
-
-
 def _label_pairs(lp: np.ndarray, lr: np.ndarray) -> dict[tuple[int, int], int]:
     """Voxel count of every (pred label, ref label) pair, background included;
     each voxel's key is the uint32 ``(p << 16) | r``, exact for uint16 labels."""
@@ -149,10 +143,11 @@ def _label_pairs(lp: np.ndarray, lr: np.ndarray) -> dict[tuple[int, int], int]:
 
 
 def _compare(pred, ref):
-    """``(lp, lr, table)`` of two label masks on one grid: their uint16
-    label arrays and their ``_label_pairs`` table."""
+    """``(lp, lr, table)`` of two label masks on one grid: their label
+    arrays, taken through ``checked_labels`` as uint16, and their
+    ``_label_pairs`` table."""
     check_same_grid(pred, ref)
-    lp, lr = _labels(pred), _labels(ref)
+    lp, lr = (checked_labels(as_array(x), LABEL_MAX + 1) for x in (pred, ref))
     return lp, lr, _label_pairs(lp, lr)
 
 

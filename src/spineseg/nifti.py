@@ -85,12 +85,12 @@ def _quaternion_matrix(b: float, c: float, d: float, qfac: float) -> np.ndarray:
     return rot
 
 
-def read_nifti(path, kind: str | None = None) -> Volume:
+def read_nifti(path) -> Volume:
     """Read a single-file NIfTI-1 volume.
 
-    ``kind`` overrides the inferred volume kind; by default integer data
-    becomes "semantic" and floating-point data "intensity". Rejects 4D
-    images, unsupported datatypes, and malformed or truncated files.
+    Integer data becomes a "semantic" volume and floating-point data an
+    "intensity" one. Rejects 4D images, unsupported datatypes, and
+    malformed or truncated files.
     """
     path = Path(path)
     with _open_for_read(path) as fh:
@@ -172,8 +172,7 @@ def read_nifti(path, kind: str | None = None) -> Volume:
             raise NiftiError(f"{path.name}: scl_slope {scl_slope} with a non-finite scl_inter {scl_inter}")
         if (scl_slope, scl_inter) != (1.0, 0.0):
             data = data.astype(np.float32) * scl_slope + scl_inter
-    if kind is None:
-        kind = "semantic" if np.issubdtype(data.dtype, np.integer) else "intensity"
+    kind = "semantic" if np.issubdtype(data.dtype, np.integer) else "intensity"
     return Volume(data, spacing, orientation, kind)
 
 

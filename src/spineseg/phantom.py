@@ -19,22 +19,24 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .assembly import LABEL_ABOVE, LABEL_BELOW, LABEL_CENTER, vertebra_centroids
-from .labels import Structure, endplate_id, ivd_id, vertebra_id
+from .labels import INSTANCE_ID_MAX, Structure, checked_labels, endplate_id, ivd_id, vertebra_id
 from .pipeline import DEFAULT_SPACING
-from .volume import Volume, binary_erosion, overlap, window_view
+from .volume import Volume, binary_erosion, checked_spacing, checked_window_size, overlap, window_view
 
 DEFAULT_DIMS = (256, 384, 64)
 
 
-def _checked_seed(seed) -> int:
-    """``seed`` as an int; ValueError unless it is a whole number >= 0."""
+def _checked_whole(value, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """``value`` as an int; ValueError unless it is a whole number in
+    ``lo..hi``, with no upper bound when ``hi`` is None."""
     try:
-        whole = int(seed) == seed
+        whole = int(value) == value
     except (TypeError, ValueError, OverflowError):
         whole = False
-    if not whole or seed < 0:
-        raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
-    return int(seed)
+    if not whole or value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be a whole number {bounds}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,10 @@ class PhantomSpec:
     spacing: tuple[float, float, float] = DEFAULT_SPACING
 
     def __post_init__(self):
-        if not 3 <= self.n_vertebrae <= 24:
-            raise ValueError(f"n_vertebrae must be in 3..24, got {self.n_vertebrae}")
-        object.__setattr__(self, "seed", _checked_seed(self.seed))
+        object.__setattr__(self, "n_vertebrae", _checked_whole(self.n_vertebrae, "n_vertebrae", 3, 24))
+        object.__setattr__(self, "seed", _checked_whole(self.seed, "seed"))
+        object.__setattr__(self, "dims", checked_window_size(self.dims, "dims"))
+        object.__setattr__(self, "spacing", checked_spacing(self.spacing))
         positives = (
             *self.corpus_radii,
             self.disc_thickness,
@@ -83,7 +86,7 @@ class PhantomSpec:
     @classmethod
     def from_json(cls, text: str) -> "PhantomSpec":
         raw = json.loads(text)
-        for key in ("corpus_radii", "process_size", "dims", "spacing"):
+        for key in ("corpus_radii", "process_size"):
             if key in raw:
                 raw[key] = tuple(raw[key])
         if "fuse_pairs" in raw:
@@ -109,7 +112,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _checked_seed(self.seed))
+        object.__setattr__(self, "seed", _checked_whole(self.seed, "seed"))
         for name in ("p_erosion", "p_labeldrop", "p_downup"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -433,11 +436,12 @@ class OracleSemanticPredictor:
 
     Each patch gets its own corruption stream derived from the noise seed
     and the patch origin, so tiled prediction stays deterministic no
-    matter how patches are ordered.
+    matter how patches are ordered. The ground truth passes
+    ``checked_labels`` (codes 0..14).
     """
 
     def __init__(self, gt_semantic: Volume, noise: NoiseSpec | None = None):
-        self.gt = gt_semantic
+        self.gt = gt_semantic.with_data(checked_labels(gt_semantic.data, len(Structure)), kind="semantic")
         self.noise = noise
 
     def predict(self, patch: Volume, origin) -> np.ndarray:
@@ -457,14 +461,15 @@ class OracleInstancePredictor:
     no semantic mask is given) lies nearest the cutout's anchor center as
     label 2, its superior neighbor as label 1, and its inferior neighbor
     as label 3, reading shapes straight from the ground-truth instance
-    mask (then corrupting them when noise is set).
+    mask (then corrupting them when noise is set). The instance mask
+    passes ``checked_labels`` (ids 0..``INSTANCE_ID_MAX``).
     """
 
     def __init__(self, gt_instance: Volume, gt_semantic: Volume | None = None, noise: NoiseSpec | None = None):
-        self.gt = gt_instance
+        self.gt = gt_instance.with_data(checked_labels(gt_instance.data, INSTANCE_ID_MAX + 1), kind="instance")
         self.noise = noise
-        semantic = gt_semantic.data if gt_semantic is not None else np.zeros_like(gt_instance.data)
-        self.centroids = vertebra_centroids(semantic, gt_instance.data)
+        semantic = gt_semantic.data if gt_semantic is not None else np.zeros_like(self.gt.data)
+        self.centroids = vertebra_centroids(semantic, self.gt.data)
         self.vertebra_ids = list(self.centroids)
 
     def predict(self, patch: Volume, cutout) -> np.ndarray:

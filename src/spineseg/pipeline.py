@@ -287,7 +287,7 @@ class ExternalPredictor:
                 stems = [f"in_{uid}", f"out_{uid}", *(f"out_{uid}_c{k}" for k in range(N_CLASSES))]
                 paths = [self.exchange_dir / f"{stem}.nii.gz" for stem in stems]
                 paths += [self.exchange_dir / f"log_{uid}.{s}" for s in ("stdout", "stderr")]
-                call = _Call(paths, _substitute(self.command, *paths[:2]))
+                call = _Call(paths, _substitute(self.command, *paths[:2]), volume.dims)
                 running.append(call)  # from here on, every exit discards it
                 # stored, not deflated: the child reads it back at once, and a float
                 # patch shrinks by about a tenth for 30x the write time
@@ -334,6 +334,10 @@ class ExternalPredictor:
                     planes = [read_nifti(p).data.astype(np.float32) for p in score_paths]
                 except ValueError as e:
                     raise PredictorError(f"malformed score output: {e}")
+                for path, plane in zip(score_paths, planes):
+                    if plane.shape != call.shape:
+                        shapes = f"has shape {plane.shape}, not its input's {call.shape}"
+                        raise PredictorError(f"score plane {path.name} {shapes}")
                 return np.stack(planes, axis=0)
             raise PredictorError(
                 f"predictor wrote no output for {in_path.name}\n"
@@ -353,10 +357,12 @@ def _tail(path: Path) -> str:
 
 @dataclass
 class _Call:
-    """One ``exec:`` call: exchange files (input, outputs, logs) and process."""
+    """One ``exec:`` call: exchange files (input, outputs, logs), command,
+    input shape and process."""
 
     paths: list[Path]
     argv: list[str]
+    shape: tuple[int, int, int]
     start: float = 0.0
     proc: subprocess.Popen | None = None
 
@@ -367,9 +373,6 @@ class _Call:
             self.proc.wait()
         for p in self.paths:
             p.unlink(missing_ok=True)
-
-
-ExternalSemanticPredictor = ExternalInstancePredictor = ExternalPredictor
 
 
 @dataclass(frozen=True)

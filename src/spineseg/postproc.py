@@ -17,7 +17,7 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from .assembly import vertebra_above, vertebra_centroids
-from .labels import is_instance_relevant, is_vertebra_id, structure_instance_id, writable_instances
+from .labels import INSTANCE_ID_MAX, Structure, checked_labels, is_instance_relevant, is_vertebra_id, structure_instance_id
 from .volume import Volume, as_array, check_same_grid, concurrently, connected_components, fill_holes, overlap, window_view
 
 
@@ -68,12 +68,13 @@ def enforce_consistency(semantic, instance):
     """Make the two masks consistent; returns (semantic, instance, report).
 
     Inputs are not modified. Works on Volumes or plain arrays; Volume
-    inputs come back as Volumes on the same grid. An instance dtype that
-    cannot hold every instance id (int8, uint8) comes back widened.
+    inputs come back as Volumes on the same grid. Both masks pass
+    ``checked_labels`` (codes 0..14, ids 0..``INSTANCE_ID_MAX``) and come
+    back as uint16.
     """
     check_same_grid(semantic, instance)
-    sem = as_array(semantic).copy()
-    inst = writable_instances(as_array(instance))
+    sem = checked_labels(as_array(semantic), len(Structure)).copy()
+    inst = checked_labels(as_array(instance), INSTANCE_ID_MAX + 1).copy()
     report = ConsistencyReport()
 
     # sem is a copy and inst another array, so their fills are independent
@@ -98,9 +99,7 @@ def enforce_consistency(semantic, instance):
     orphan = relevant & (inst == 0)
     if orphan.any():
         # both only read sem, inst and orphan
-        centroids, comps = concurrently(
-            partial(vertebra_centroids, sem, inst), partial(connected_components, orphan, connectivity=26)
-        )
+        centroids, comps = concurrently(partial(vertebra_centroids, sem, inst), partial(connected_components, orphan))
         for ci, local in enumerate(ndi.find_objects(comps.labels), start=1):
             # the component's box grown by one voxel for its contact shell;
             # windows read 0 outside the volume, which the contact test drops

@@ -48,7 +48,10 @@ def validate_orientation(codes: Sequence[str]) -> tuple[str, str, str]:
 
 def checked_spacing(spacing, name: str = "spacing") -> tuple[float, float, float]:
     """``spacing`` as three floats; ValueError unless they are finite and positive."""
-    out = tuple(float(s) for s in spacing)
+    try:
+        out = tuple(float(s) for s in spacing)
+    except (TypeError, ValueError):
+        out = ()
     # NaN fails every comparison, so it fails this one too
     if len(out) != 3 or not all(0.0 < s < np.inf for s in out):
         raise ValueError(f"{name} must be 3 finite positive reals, got {spacing!r}")
@@ -248,14 +251,6 @@ class ComponentSet:
     centroids: list[tuple[float, float, float]]
 
 
-def _structuring_element(connectivity: int) -> np.ndarray:
-    if connectivity == 6:
-        return ndi.generate_binary_structure(3, 1)
-    if connectivity == 26:
-        return ndi.generate_binary_structure(3, 3)
-    raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
-
-
 def bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice] | None:
     """The tight slice box around the True voxels of a 3D mask, or None
     when it has none.
@@ -275,8 +270,8 @@ def bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice] | None:
     return tuple(box)  # type: ignore[return-value]
 
 
-def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentSet:
-    """Label connected components of a binary mask (6- or 26-connectivity).
+def connected_components(mask: np.ndarray) -> ComponentSet:
+    """Label the 26-connected components of a binary mask.
 
     Only the mask's bounding box is labeled and kept, as int32 (see
     ``ComponentSet``). ``ndi.label`` numbers components in C order of
@@ -287,7 +282,7 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentS
     box = bounding_box(mask) or (slice(0, 0),) * mask.ndim
     crop = mask[box]
     labels = np.empty(crop.shape, dtype=np.int32)
-    n = ndi.label(crop, structure=_structuring_element(connectivity), output=labels)
+    n = ndi.label(crop, structure=np.ones((3, 3, 3), dtype=bool), output=labels)
     sizes, centroids = label_centroids(labels, n, origin=[b.start for b in box])
     centroids = [tuple(c) for c in centroids.tolist()]
     return ComponentSet(labels=labels, box=box, count=n, sizes=sizes, centroids=centroids)
@@ -324,7 +319,7 @@ def fill_holes(mask: np.ndarray) -> np.ndarray:
     the volume's six faces. One labeling of the background finds them all.
     """
     mask = np.asarray(mask) != 0
-    background, n = ndi.label(~mask, structure=_structuring_element(6))
+    background, n = ndi.label(~mask, structure=ndi.generate_binary_structure(3, 1))
     outside = np.zeros(n + 1, dtype=bool)
     for axis in range(mask.ndim):
         for index in (0, -1):
@@ -343,21 +338,17 @@ def binary_erosion(mask: np.ndarray, radius: int) -> np.ndarray:
     return ndi.binary_erosion(mask, structure=se, border_value=0)
 
 
-def binary_closing(mask: np.ndarray, radius: int = 1) -> np.ndarray:
-    """Morphological closing that treats space beyond the boundary as open.
+def binary_closing(mask: np.ndarray) -> np.ndarray:
+    """Closing by a 3x3x3 box that treats space beyond the boundary as open.
 
-    The volume is padded by the structuring-element radius first, so
-    closing near the faces behaves as if the mask floated in an infinite
-    background instead of being clipped.
+    The volume is padded by one voxel first, so closing near the faces
+    behaves as if the mask floated in an infinite background instead of
+    being clipped.
     """
-    mask = np.asarray(mask) != 0
-    if radius <= 0:
-        return mask.copy()
-    se = np.ones((2 * radius + 1,) * 3, dtype=bool)
-    padded = np.pad(mask, radius, mode="constant", constant_values=False)
+    se = np.ones((3, 3, 3), dtype=bool)
+    padded = np.pad(np.asarray(mask) != 0, 1, mode="constant", constant_values=False)
     closed = ndi.binary_erosion(ndi.binary_dilation(padded, structure=se), structure=se)
-    core = tuple(slice(radius, radius + d) for d in mask.shape)
-    return closed[core]
+    return closed[1:-1, 1:-1, 1:-1]
 
 
 def _ball(radius: int) -> np.ndarray:

@@ -344,7 +344,7 @@ class TestAssignDiscEndplate:
         sem[4:8, 13, 2:6] = Structure.ENDPLATE
         out, _ = assign_disc_endplate_instances(make_volume(sem), inst.astype(dtype))
         want, _ = assign_disc_endplate_instances(make_volume(sem), inst)
-        assert np.iinfo(out.dtype).max >= 299
+        assert out.dtype == np.uint16
         assert np.array_equal(out, want)
 
     def test_existing_instances_are_never_overwritten(self):

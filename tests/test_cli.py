@@ -143,6 +143,27 @@ class TestPhantom:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "source, key, value, message",
+        [
+            ("spec", "dims", [256.5, 384, 64], "invalid phantom spec: dims must be 3 whole numbers"),
+            ("spec", "dims", [256, 384], "invalid phantom spec: dims must be 3 whole numbers"),
+            ("spec", "spacing", [0.75, "x", 1.65], "invalid phantom spec: spacing must be 3 finite positive"),
+            ("spec", "spacing", [-0.75, 0.75, 1.65], "invalid phantom spec: spacing must be 3 finite positive"),
+            ("spec", "n_vertebrae", 7.5, "invalid phantom spec: n_vertebrae must be a whole number"),
+            ("flag", "--spacing", "-0.75,0.75,1.65", "invalid phantom parameters: spacing must be 3 finite"),
+        ],
+        ids=["fractional-dims", "two-dims", "text-spacing", "negative-spacing", "fractional-count", "negative-flag"],
+    )
+    def test_bad_grid_or_count_is_usage_error(self, tmp_path, capsys, source, key, value, message):
+        args = (f"{key}={value}",)  # one token: argparse would read "-0.75,..." as a flag
+        if source == "spec":
+            args = ("--spec", tmp_path / "spec.json")
+            args[1].write_text(json.dumps({key: value}))
+        assert run_cli("phantom", "--out-dir", tmp_path / "x", *args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 def split_sources(gt: Volume):
     """Carve a ground-truth semantic mask into the three annotation sources."""
@@ -378,6 +399,23 @@ class TestSegment:
         assert np.array_equal(read_nifti(out / "semantic.nii.gz").data, np.where(data > 0, Structure.CORPUS, 0))
         assert np.array_equal(read_nifti(out / "instance.nii.gz").data, truth)
 
+    @pytest.mark.parametrize("role", ["semantic", "instance"])
+    def test_fractional_oracle_ground_truth_fails_naming_the_file(self, phantom_dir, tmp_path, capsys, role):
+        truth = read_nifti(phantom_dir / f"{role}.nii.gz")
+        bad = tmp_path / "half.nii.gz"
+        write_nifti(truth.with_data(truth.data.astype(np.float32) + 0.5, kind="intensity"), bad)
+        oracles = {r: f"oracle:{phantom_dir / f'{r}.nii.gz'}" for r in ("semantic", "instance")}
+        oracles[role] = f"oracle:{bad}"
+        code = run_cli(
+            "segment", "--input", phantom_dir / "intensity.nii.gz",
+            "--semantic", oracles["semantic"], "--instance", oracles["instance"],
+            "--out-dir", tmp_path / "seg",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"invalid {role} oracle ground truth {bad}: labels must be whole numbers" in err
+        assert not (tmp_path / "seg").exists()
+
     def test_unknown_scheme_is_usage_error(self, phantom_dir, tmp_path):
         code = run_cli(
             "segment", "--input", phantom_dir / "intensity.nii.gz",
@@ -577,13 +615,26 @@ class TestReport:
 
     def test_evaluation_summary(self, phantom_dir, tmp_path, capsys):
         sem = phantom_dir / "semantic.nii.gz"
+        inst = phantom_dir / "instance.nii.gz"
         json_path = tmp_path / "eval.json"
-        run_cli("evaluate", "--pred", sem, "--ref", sem, "--json", json_path)
+        run_cli("evaluate", "--pred", sem, "--ref", sem, "--pred-instance", inst, "--ref-instance", inst,
+                "--json", json_path)
         capsys.readouterr()
         assert run_cli("report", json_path) == 0
         out = capsys.readouterr().out
         assert "semantic metrics" in out
         assert "corpus: DSC 1.0000" in out
+        # the paper's headline figure is the instance-wise vertebra Dice
+        assert "vertebra: DSC 1.0000, instance DSC 1.0000, RQ 1.0000, SQ 1.0000, PQ 1.0000, ASSD 0.0000 mm, " in out
+
+    def test_instance_line_shows_missing_figures_as_na(self, tmp_path, capsys):
+        entry = dict(DSC=0.0, instance_DSC=None, RQ=0.0, SQ=0.0, PQ=0.0, ASSD=None, TP=0, FP=1, FN=1)
+        json_path = tmp_path / "eval.json"
+        json_path.write_text(json.dumps({"instances": {"vertebra": entry}}))
+        assert run_cli("report", json_path) == 0
+        assert "vertebra: DSC 0.0000, instance DSC n/a, RQ 0.0000, SQ 0.0000, PQ 0.0000, ASSD n/a, TP 0" in (
+            capsys.readouterr().out
+        )
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli("report", tmp_path / "nope.json") == 2

@@ -4,9 +4,10 @@ and the one label rule every boundary that takes label arrays applies."""
 import numpy as np
 import pytest
 
-from spineseg.assembly import PredictorError, check_answer
+from spineseg.assembly import PredictorError, assemble, assign_disc_endplate_instances, check_answer
 from spineseg.fusion import AnnotationSources
 from spineseg.labels import (
+    INSTANCE_ID_MAX,
     LABEL_MAX,
     Structure,
     checked_labels,
@@ -16,6 +17,7 @@ from spineseg.labels import (
 )
 from spineseg.metrics import evaluate_segmentation, instance_report, semantic_report
 from spineseg.nifti import NiftiError, write_nifti
+from spineseg.postproc import enforce_consistency
 from spineseg.volume import Volume
 
 BOUNDARY_IDS = [0, 1, 99, 100, 101, 199, 200, 201, 299]
@@ -117,10 +119,42 @@ def _fused(arr, tmp_path):
     AnnotationSources(Volume(arr), zeros, zeros)
 
 
+class ZerosPredictor:
+    """Answers every cutout with background."""
+
+    def predict(self, window, cutout):
+        return np.zeros(window.dims, dtype=np.uint16)
+
+
+def _assembled(arr, tmp_path):
+    # a plain Volume carries any dtype; a semantic one would refuse floats
+    assemble(Volume(arr), ZerosPredictor(), cutout_size=arr.shape)
+
+
+def _zeros(arr):
+    return np.zeros(arr.shape, dtype=np.uint16)
+
+
 #: name -> (n_labels, error type, call); each call passes ``arr`` through one
 #: boundary where the toolkit takes label arrays in
 BOUNDARIES = {
     "check_answer": (15, PredictorError, lambda arr, tmp: check_answer(arr, arr.shape, 15)),
+    "enforce_consistency-semantic": (
+        len(Structure),
+        ValueError,
+        lambda arr, tmp: enforce_consistency(arr, _zeros(arr)),
+    ),
+    "enforce_consistency-instance": (
+        INSTANCE_ID_MAX + 1,
+        ValueError,
+        lambda arr, tmp: enforce_consistency(_zeros(arr), arr),
+    ),
+    "assemble": (len(Structure), ValueError, _assembled),
+    "assign_disc_endplate_instances": (
+        INSTANCE_ID_MAX + 1,
+        ValueError,
+        lambda arr, tmp: assign_disc_endplate_instances(Volume(_zeros(arr), kind="semantic"), arr),
+    ),
     "semantic_report": (LABEL_MAX + 1, ValueError, lambda arr, tmp: semantic_report(arr, np.zeros(arr.shape, int))),
     "instance_report": (LABEL_MAX + 1, ValueError, lambda arr, tmp: instance_report(np.zeros(arr.shape, int), arr)),
     "evaluate_segmentation": (LABEL_MAX + 1, ValueError, lambda arr, tmp: evaluate_segmentation(arr, arr)),
@@ -149,11 +183,9 @@ def test_every_boundary_takes_whole_numbers_in_range(boundary, dtype, tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16, np.float32, np.float64])
-def test_checked_labels_returns_integers_unchanged_and_the_rest_as_uint16(dtype):
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16, np.uint16, np.int64, np.float32, np.float64, ">u2"])
+def test_checked_labels_returns_uint16_the_same_array_when_it_is_one(dtype):
     arr = _label_array(dtype, 1, 2)
     out = checked_labels(arr, 2)
-    if np.dtype(dtype).kind in "iu":
-        assert out is arr
-    else:
-        assert out.dtype == np.uint16 and np.array_equal(out, arr)
+    assert out.dtype == np.uint16 and np.array_equal(out, arr)
+    assert (out is arr) == (arr.dtype == np.uint16)

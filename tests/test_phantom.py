@@ -49,6 +49,11 @@ class TestSpecValidation:
             dict(canal_radius=-1.0),
             dict(seed=-3),
             dict(seed=2.5),
+            dict(dims=(256.5, 384, 64)),
+            dict(dims=(256, 384)),
+            dict(spacing=(0.75, "x", 1.65)),
+            dict(spacing=(-0.75, 0.75, 1.65)),
+            dict(n_vertebrae=7.5),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -109,7 +114,7 @@ class TestGeneratePhantom:
 
     def test_corpus_components_ordered(self, standard_phantom):
         _, sem, inst = standard_phantom
-        comps = connected_components(sem.data == Structure.CORPUS, connectivity=26)
+        comps = connected_components(sem.data == Structure.CORPUS)
         assert comps.count == 7
         ys = sorted(c[1] for c in comps.centroids)
         assert all(b - a > 10 for a, b in zip(ys, ys[1:]))
@@ -125,7 +130,7 @@ class TestGeneratePhantom:
 
     def test_fused_pair_is_one_unit(self, fused_phantom):
         _, sem, inst = fused_phantom
-        comps = connected_components(sem.data == Structure.CORPUS, connectivity=26)
+        comps = connected_components(sem.data == Structure.CORPUS)
         assert comps.count == 4
         vert_ids = {int(v) for v in np.unique(inst.data) if 1 <= v < 100}
         assert vert_ids == {1, 2, 3, 4}
@@ -136,7 +141,7 @@ class TestGeneratePhantom:
     def test_two_fused_pairs_number_units_top_down(self):
         _, sem, inst = generate_phantom(PhantomSpec(n_vertebrae=6, fuse_pairs=((1, 2), (4, 5)), seed=2))
         # one spinous process per vertebra level, none touching the next
-        comps = connected_components(sem.data == Structure.SPINOUS_PROCESS, connectivity=26)
+        comps = connected_components(sem.data == Structure.SPINOUS_PROCESS)
         assert comps.count == 6
         order = sorted(range(comps.count), key=lambda i: comps.centroids[i][1])
         ids = [int(np.unique(inst.data[comps.box][comps.labels == i + 1]).item()) for i in order]
@@ -283,7 +288,7 @@ def reference_corrupt_binary(mask, noise, rng, spacing):
     if rng.random() < noise.p_erosion and noise.erosion_radius > 0 and sub is not None:
         sub = binary_erosion(sub, noise.erosion_radius)
     if noise.p_labeldrop > 0 and sub is not None:
-        comps = connected_components(sub, connectivity=26)
+        comps = connected_components(sub)
         for cid in range(1, comps.count + 1):
             if rng.random() < noise.p_labeldrop:
                 sub[comps.box][comps.labels == cid] = False

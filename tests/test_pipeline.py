@@ -24,9 +24,7 @@ from spineseg.labels import Structure
 from spineseg.nifti import read_nifti, write_nifti
 from spineseg.phantom import NoiseSpec, OracleInstancePredictor, OracleSemanticPredictor, PhantomSpec, generate_phantom
 from spineseg.pipeline import (
-    ExternalInstancePredictor,
     ExternalPredictor,
-    ExternalSemanticPredictor,
     PipelineConfig,
     PredictorError,
     TilingSpec,
@@ -722,14 +720,16 @@ def alive(pid):
 
 class TestExternalPredictors:
     def test_package_exports_the_class_and_its_aliases(self):
-        from spineseg import ExternalInstancePredictor, ExternalPredictor, ExternalSemanticPredictor
+        from spineseg import ExternalInstancePredictor, ExternalSemanticPredictor
 
         assert ExternalPredictor is ExternalSemanticPredictor is ExternalInstancePredictor
         assert "ExternalPredictor" in spineseg.__all__
+        assert not {"ExternalSemanticPredictor", "ExternalInstancePredictor"} & set(spineseg.__all__)
+        assert not hasattr(pipeline, "ExternalSemanticPredictor") and not hasattr(pipeline, "ExternalInstancePredictor")
 
     def test_label_round_trip(self, tmp_path, small_semantic):
         script = write_script(tmp_path, "identity.py", IDENTITY_SCRIPT)
-        pred = ExternalSemanticPredictor(
+        pred = ExternalPredictor(
             f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path / "xchg"
         )
         spec = TilingSpec(patch_size=small_semantic.dims)
@@ -738,24 +738,39 @@ class TestExternalPredictors:
 
     def test_appended_arguments_form(self, tmp_path, small_semantic):
         script = write_script(tmp_path, "identity.py", IDENTITY_SCRIPT)
-        pred = ExternalSemanticPredictor(f"python3 {script}", exchange_dir=tmp_path / "xchg")
+        pred = ExternalPredictor(f"python3 {script}", exchange_dir=tmp_path / "xchg")
         spec = TilingSpec(patch_size=small_semantic.dims)
         out = predict_semantic(small_semantic, pred, spec)
         assert np.array_equal(out.data, small_semantic.data)
 
     def test_score_files_protocol(self, tmp_path, small_semantic):
         script = write_script(tmp_path, "scores.py", SCORES_SCRIPT)
-        pred = ExternalSemanticPredictor(
+        pred = ExternalPredictor(
             f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path / "xchg"
         )
         spec = TilingSpec(patch_size=small_semantic.dims)
         out = predict_semantic(small_semantic, pred, spec)
         assert np.array_equal(out.data, small_semantic.data)
 
+    def test_score_planes_of_different_shapes_raise(self, tmp_path, small_semantic):
+        # plane 0 is one voxel longer on axis 0 than the other 14
+        script = write_script(
+            tmp_path,
+            "ragged.py",
+            SCORES_SCRIPT + """
+    longer = vol.with_data(np.zeros((21, 24, 12), np.float32), kind="intensity")
+    write_nifti(longer, out.replace(".nii.gz", "_c0.nii.gz"))
+""",
+        )
+        pred = ExternalPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path / "xchg")
+        want = r"score plane out_\w+_c0\.nii\.gz has shape \(21, 24, 12\), not its input's \(20, 24, 12\)"
+        with pytest.raises(PredictorError, match=want):
+            pred.predict(small_semantic, (0, 0, 0))
+
     def test_exchange_files_are_cleaned_up(self, tmp_path, small_semantic):
         script = write_script(tmp_path, "identity.py", IDENTITY_SCRIPT)
         xchg = tmp_path / "xchg"
-        pred = ExternalSemanticPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=xchg)
+        pred = ExternalPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=xchg)
         predict_semantic(small_semantic, pred, TilingSpec(patch_size=small_semantic.dims))
         assert list(xchg.iterdir()) == []
 
@@ -769,14 +784,14 @@ class TestExternalPredictors:
             sys.exit(3)
             """,
         )
-        pred = ExternalSemanticPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
+        pred = ExternalPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
         with pytest.raises(PredictorError, match="status 3") as err:
             pred.predict(small_semantic, (0, 0, 0))
         assert "boom detail" in str(err.value)
 
     def test_missing_output_raises(self, tmp_path, small_semantic):
         script = write_script(tmp_path, "noop.py", "pass\n")
-        pred = ExternalSemanticPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
+        pred = ExternalPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
         with pytest.raises(PredictorError, match="no output"):
             pred.predict(small_semantic, (0, 0, 0))
 
@@ -789,7 +804,7 @@ class TestExternalPredictors:
             open(sys.argv[2], "wb").write(b"not a volume")
             """,
         )
-        pred = ExternalSemanticPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
+        pred = ExternalPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
         with pytest.raises(PredictorError, match="malformed"):
             pred.predict(small_semantic, (0, 0, 0))
 
@@ -811,7 +826,7 @@ class TestExternalPredictors:
             open(sys.argv[2], "wb").write({damage})
             """,
         )
-        pred = ExternalSemanticPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
+        pred = ExternalPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
         with pytest.raises(PredictorError, match="malformed predictor output .*corrupt gzip stream"):
             pred.predict(small_semantic, (0, 0, 0))
 
@@ -826,7 +841,7 @@ class TestExternalPredictors:
             open(sys.argv[3], "w").write(sys.argv[1])
             """,
         )
-        pred = ExternalSemanticPredictor(f"python3 {script} {{input}} {{output}} {noted}")
+        pred = ExternalPredictor(f"python3 {script} {{input}} {{output}} {noted}")
         assert np.array_equal(pred.predict(small_semantic, (0, 0, 0)), small_semantic.data)
         exchanged = Path(noted.read_text())
         uid = exchanged.name[len("in_") : -len(".nii.gz")]
@@ -839,7 +854,7 @@ class TestExternalPredictors:
 
     def test_timeout_raises(self, tmp_path, small_semantic):
         script = write_script(tmp_path, "slow.py", "import time\ntime.sleep(30)\n")
-        pred = ExternalSemanticPredictor(
+        pred = ExternalPredictor(
             f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path, timeout=0.5
         )
         with pytest.raises(PredictorError, match="timed out"):
@@ -987,7 +1002,7 @@ class TestExternalPredictors:
             write_nifti(vol.with_data(np.full(vol.dims, 7, dtype=np.uint16)), sys.argv[2])
             """,
         )
-        pred = ExternalInstancePredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
+        pred = ExternalPredictor(f"python3 {script} {{input}} {{output}}", exchange_dir=tmp_path)
         with pytest.raises(PredictorError, match="\\{0, 1, 2, 3\\}"):
             assemble(small_semantic, pred, cutout_size=small_semantic.dims)
 

@@ -167,7 +167,7 @@ class TestEnforceConsistency:
         sem[2:6, 12:14, 2:6] = Structure.ENDPLATE
         inst = np.where(sem == Structure.CORPUS, 1, 0).astype(dtype)
         _, inst2, report = enforce_consistency(sem, inst)
-        assert np.iinfo(inst2.dtype).max >= 299
+        assert inst2.dtype == np.uint16
         assert (inst2[2:6, 12:14, 2:6] == endplate_id(1)).all()
         assert report.orphans_assigned == [(32, endplate_id(1))]
         assert inst.dtype == dtype and inst.max() == 1  # the input is untouched

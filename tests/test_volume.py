@@ -254,18 +254,10 @@ def reference_trilinear(data, spacing, new_spacing):
     return ndi.map_coordinates(data.astype(np.float64), np.stack(grid), order=1, mode="nearest")
 
 
-def oracle_components(mask, connectivity):
-    """Flood fill from each unvisited voxel; ids by minimum linear index."""
-    if connectivity == 6:
-        offs = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    else:
-        offs = [
-            (a, b, c)
-            for a in (-1, 0, 1)
-            for b in (-1, 0, 1)
-            for c in (-1, 0, 1)
-            if (a, b, c) != (0, 0, 0)
-        ]
+def oracle_components(mask):
+    """Flood fill from each unvisited voxel over its 26 neighbours; ids by
+    minimum linear index."""
+    offs = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1) if (a, b, c) != (0, 0, 0)]
     labels = np.zeros(mask.shape, dtype=np.int32)
     next_id = 0
     for flat in range(mask.size):
@@ -344,37 +336,34 @@ def assert_box_labels(cs, want_labels):
 
 
 class TestConnectedComponents:
-    def test_corner_touch_disconnected_at_6(self):
+    def test_corner_touch_connects(self):
         mask = np.zeros((2, 2, 2), dtype=bool)
         mask[0, 0, 0] = mask[1, 1, 1] = True
-        assert connected_components(mask, connectivity=6).count == 2
-        assert connected_components(mask, connectivity=26).count == 1
+        assert connected_components(mask).count == 1
 
-    def test_edge_touch_disconnected_at_6(self):
+    def test_edge_touch_connects(self):
         mask = np.zeros((2, 2, 1), dtype=bool)
         mask[0, 0, 0] = mask[1, 1, 0] = True
-        assert connected_components(mask, connectivity=6).count == 2
-        assert connected_components(mask, connectivity=26).count == 1
+        assert connected_components(mask).count == 1
 
     def test_against_floodfill_oracle(self):
         rng = np.random.default_rng(29)
-        for conn in (6, 26):
-            masks = [rng.random(size=(6, 7, 5)) < 0.3 for _ in range(10)]
-            # larger masks over a range of densities pin the id order, which
-            # comes from ndi.label unchanged
-            masks += [rng.random(size=rng.integers(10, 21, size=3)) < p for p in (0.1, 0.25, 0.4, 0.55, 0.7)]
-            for mask in masks:
-                got = connected_components(mask, connectivity=conn)
-                want_labels, want_n = oracle_components(mask, conn)
-                assert got.count == want_n
-                assert_box_labels(got, want_labels)
+        masks = [rng.random(size=(6, 7, 5)) < 0.3 for _ in range(20)]
+        # larger masks over a range of densities pin the id order, which
+        # comes from ndi.label unchanged
+        masks += [rng.random(size=rng.integers(10, 21, size=3)) < p for p in (0.02, 0.05, 0.1, 0.25, 0.4, 0.55, 0.7)]
+        for mask in masks:
+            got = connected_components(mask)
+            want_labels, want_n = oracle_components(mask)
+            assert got.count == want_n
+            assert_box_labels(got, want_labels)
 
     def test_ids_ordered_by_min_linear_index(self):
         mask = np.zeros((1, 1, 9), dtype=bool)
         mask[0, 0, 6] = True
         mask[0, 0, 0] = True
         mask[0, 0, 3] = True
-        cs = connected_components(mask, connectivity=6)
+        cs = connected_components(mask)
         assert cs.count == 3
         assert cs.box == (slice(0, 1), slice(0, 1), slice(0, 7))
         assert cs.labels.tolist() == [[[1, 0, 0, 2, 0, 0, 3]]]
@@ -383,7 +372,7 @@ class TestConnectedComponents:
         mask = np.zeros((4, 4, 4), dtype=bool)
         mask[0:2, 0, 0] = True  # size 2, centroid (0.5, 0, 0)
         mask[3, 3, 3] = True  # size 1
-        cs = connected_components(mask, connectivity=6)
+        cs = connected_components(mask)
         assert list(cs.sizes) == [2, 1]
         assert cs.centroids[0] == (0.5, 0.0, 0.0)
         assert cs.centroids[1] == (3.0, 3.0, 3.0)
@@ -399,9 +388,9 @@ class TestConnectedComponents:
             big[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = rng.random() < 0.8
         masks.append(big)
         for mask in masks:
-            cs = connected_components(mask, connectivity=6)
+            cs = connected_components(mask)
             assert cs.count > 0
-            labels, n = ndi.label(mask, structure=ndi.generate_binary_structure(3, 1))
+            labels, n = ndi.label(mask, structure=ndi.generate_binary_structure(3, 3))
             assert cs.count == n
             assert_box_labels(cs, labels)
             for ci in range(1, cs.count + 1):
@@ -418,15 +407,14 @@ class TestConnectedComponents:
     @pytest.mark.parametrize("name", list(edge_masks()))
     def test_edges_against_floodfill_oracle(self, name):
         mask = edge_masks()[name]
-        for conn in (6, 26):
-            got = connected_components(mask, connectivity=conn)
-            want_labels, want_n = oracle_components(mask, conn)
-            assert got.count == want_n
-            assert_box_labels(got, want_labels)
-            for ci in range(1, want_n + 1):
-                idx = np.nonzero(want_labels == ci)
-                assert got.centroids[ci - 1] == tuple(float(a.mean()) for a in idx)
-                assert got.sizes[ci - 1] == idx[0].size
+        got = connected_components(mask)
+        want_labels, want_n = oracle_components(mask)
+        assert got.count == want_n
+        assert_box_labels(got, want_labels)
+        for ci in range(1, want_n + 1):
+            idx = np.nonzero(want_labels == ci)
+            assert got.centroids[ci - 1] == tuple(float(a.mean()) for a in idx)
+            assert got.sizes[ci - 1] == idx[0].size
 
     def test_far_corner_voxel_of_a_full_size_grid(self):
         mask = far_corner_voxel()
@@ -444,9 +432,9 @@ class TestConnectedComponents:
             lo = rng.integers((181, 257, 29), (250, 378, 60))
             hi = lo + rng.integers(1, (40, 60, 20))
             mask[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = True
-        mask[248:, 376:, 56:] = rng.random((8, 8, 8)) < 0.3
-        cs = connected_components(mask, connectivity=6)
-        labels, n = ndi.label(mask, structure=ndi.generate_binary_structure(3, 1))
+        mask[248:, 376:, 56:] = rng.random((8, 8, 8)) < 0.1  # sparse enough for many 26-connected specks
+        cs = connected_components(mask)
+        labels, n = ndi.label(mask, structure=ndi.generate_binary_structure(3, 3))
         assert cs.count == n > 10
         assert_box_labels(cs, labels)
         for ci in range(1, n + 1):
