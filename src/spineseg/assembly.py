@@ -314,7 +314,7 @@ def assign_disc_endplate_instances(semantic: Volume, vertebra_instances: np.ndar
     vertebra and flagged. ``vertebra_instances`` passes ``checked_labels``
     (ids 0..``INSTANCE_ID_MAX``), and the ids go into a uint16 copy of it.
     """
-    inst = checked_labels(vertebra_instances, INSTANCE_ID_MAX + 1).copy()
+    inst = checked_labels(vertebra_instances, INSTANCE_ID_MAX + 1, copy=True)
     codes = (Structure.IVD, Structure.ENDPLATE)
 
     def class_components():

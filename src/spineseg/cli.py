@@ -19,6 +19,7 @@ import os
 import signal
 import sys
 import tempfile
+from collections import Counter
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -54,12 +55,10 @@ class RunError(Exception):
     """Processing failed after valid arguments; exit code 1."""
 
 
-def _tuple_of(text: str, cast, flag: str, n: int = 3):
-    parts = text.split(",")
-    if len(parts) != n:
-        raise UsageError(f"{flag} expects {n} comma-separated values, got {text!r}")
+def _numbers(text: str, flag: str) -> tuple[float, ...]:
+    """A flag's comma-separated numbers, for the spec or config to check."""
     try:
-        return tuple(cast(p) for p in parts)
+        return tuple(float(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"{flag} could not parse {text!r}")
 
@@ -121,12 +120,12 @@ def cmd_phantom(args) -> int:
         seed = args.seed
         if seed is None:
             seed = int.from_bytes(os.urandom(4), "little")
-        fuse_pairs = tuple(_tuple_of(f, int, "--fuse", 2) for f in args.fuse or [])
+        fuse_pairs = tuple(_numbers(f, "--fuse") for f in args.fuse or [])
         kwargs = dict(n_vertebrae=args.vertebrae, seed=seed, fuse_pairs=fuse_pairs)
         if args.dims:
-            kwargs["dims"] = _tuple_of(args.dims, int, "--dims")
+            kwargs["dims"] = _numbers(args.dims, "--dims")
         if args.spacing:
-            kwargs["spacing"] = _tuple_of(args.spacing, float, "--spacing")
+            kwargs["spacing"] = _numbers(args.spacing, "--spacing")
         try:
             spec = PhantomSpec(**kwargs)
         except ValueError as e:
@@ -235,8 +234,8 @@ def cmd_segment(args) -> int:
     vol = _read_volume(args.input, "input")
     out = Path(args.out_dir)
 
-    patch = _tuple_of(args.patch, int, "--patch")
-    target = None if args.spacing == "keep" else _tuple_of(args.spacing, float, "--spacing")
+    patch = _numbers(args.patch, "--patch")
+    target = None if args.spacing == "keep" else _numbers(args.spacing, "--spacing")
     try:
         tiling = TilingSpec(patch_size=patch, overlap=args.overlap, blend=args.blend)
         config = PipelineConfig(target_spacing=target, tiling=tiling)
@@ -347,6 +346,13 @@ def _report_lines(payload: dict) -> list[str]:
                     f"  vertebra {g['target_index']}: {g['n_predictions']} predictions, "
                     f"agreement {g['agreement']:.4f}"
                 )
+        if asm:
+            fallbacks = ", ".join(map(str, asm.get("union_fallbacks", []))) or "none"
+            conflicts = asm.get("conflict_voxels", 0)
+            lines.append(f"assembly: {conflicts} conflict voxels; vertebrae on union fallback: {fallbacks}")
+            flags = Counter((f["kind"], Structure(f["code"]).name.lower()) for f in asm.get("assignment_flags", ()))
+            for (kind, name), n in sorted(flags.items()):
+                lines.append(f"  {kind.replace('_', ' ')}: {n} {name} component{'s' * (n != 1)}")
         cons = report.get("consistency", {})
         if cons:
             lines.append(

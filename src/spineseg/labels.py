@@ -99,10 +99,11 @@ def classify_instance_id(value: int) -> tuple[str, int]:
     raise ValueError(f"instance id {value} is outside all known ranges")
 
 
-def checked_labels(values, n_labels: int) -> np.ndarray:
+def checked_labels(values, n_labels: int, copy: bool = False) -> np.ndarray:
     """``values`` as labels: whole numbers in ``0..n_labels - 1``, for
     ``n_labels`` up to 65536, as uint16. A uint16 array comes back as the
-    same object, any other accepted array as a uint16 copy. Anything else
+    same object unless ``copy``, any other accepted array as a uint16
+    copy, so the array is copied once at most. Anything else
     (non-numeric or complex dtypes, fractions, NaN, infinities, values out
     of range) raises ValueError naming the rule and the range found.
     Integrality and range are tested before the cast, so nothing warns."""
@@ -117,7 +118,7 @@ def checked_labels(values, n_labels: int) -> np.ndarray:
             raise ValueError(f"{rule}; found non-integral values in {lo}..{hi}")
         if lo < 0 or hi >= n_labels:
             raise ValueError(f"{rule}; found {lo}..{hi}, outside that range")
-    return arr if arr.dtype == np.uint16 else arr.astype(np.uint16)
+    return arr.astype(np.uint16, copy=copy)
 
 
 def label_map() -> list[dict]:

@@ -21,22 +21,17 @@ import scipy.ndimage as ndi
 from .assembly import LABEL_ABOVE, LABEL_BELOW, LABEL_CENTER, vertebra_centroids
 from .labels import INSTANCE_ID_MAX, Structure, checked_labels, endplate_id, ivd_id, vertebra_id
 from .pipeline import DEFAULT_SPACING
-from .volume import Volume, binary_erosion, checked_spacing, checked_window_size, overlap, window_view
+from .volume import Volume, binary_erosion, checked_numbers, overlap, window_view
 
 DEFAULT_DIMS = (256, 384, 64)
 
 
-def _checked_whole(value, name: str, lo: int = 0, hi: int | None = None) -> int:
-    """``value`` as an int; ValueError unless it is a whole number in
-    ``lo..hi``, with no upper bound when ``hi`` is None."""
-    try:
-        whole = int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole or value < lo or (hi is not None and value > hi):
-        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise ValueError(f"{name} must be a whole number {bounds}, got {value!r}")
-    return int(value)
+def _check_fields(spec, *rules) -> None:
+    """Store each field of ``spec`` as ``checked_numbers`` returns it, for
+    ``rules`` of (space-separated field names, the rule for them)."""
+    for names, rule in rules:
+        for name in names.split():
+            object.__setattr__(spec, name, checked_numbers(getattr(spec, name), name, **rule))
 
 
 @dataclass(frozen=True)
@@ -57,41 +52,32 @@ class PhantomSpec:
     spacing: tuple[float, float, float] = DEFAULT_SPACING
 
     def __post_init__(self):
-        object.__setattr__(self, "n_vertebrae", _checked_whole(self.n_vertebrae, "n_vertebrae", 3, 24))
-        object.__setattr__(self, "seed", _checked_whole(self.seed, "seed"))
-        object.__setattr__(self, "dims", checked_window_size(self.dims, "dims"))
-        object.__setattr__(self, "spacing", checked_spacing(self.spacing))
-        positives = (
-            *self.corpus_radii,
-            self.disc_thickness,
-            self.canal_radius,
-            self.cord_radius,
-            *self.process_size,
-            self.pitch,
+        _check_fields(
+            self,
+            ("n_vertebrae", dict(whole=True, ge=3, le=24)),
+            ("corpus_radii process_size spacing", dict(n=3, gt=0)),
+            ("disc_thickness canal_radius cord_radius pitch", dict(gt=0)),
+            ("seed", dict(whole=True, ge=0)),
+            ("dims", dict(n=3, whole=True, ge=1)),
         )
-        if any(v <= 0 for v in positives):
-            raise ValueError("all geometric parameters must be positive")
+        if not isinstance(self.include_sacrum, bool):
+            raise ValueError(f"include_sacrum must be true or false, got {self.include_sacrum!r}")
         if self.disc_thickness >= self.pitch:
             raise ValueError("disc thickness must be smaller than the vertebra pitch")
         if self.cord_radius >= self.canal_radius:
             raise ValueError("cord radius must be smaller than the canal radius")
-        object.__setattr__(self, "fuse_pairs", tuple(tuple(p) for p in self.fuse_pairs))
+        pairs = (checked_numbers(p, "fuse_pairs entry", 2, whole=True, ge=1, le=self.n_vertebrae) for p in self.fuse_pairs)
+        object.__setattr__(self, "fuse_pairs", tuple(pairs))
         for a, b in self.fuse_pairs:
-            if b != a + 1 or not 1 <= a < self.n_vertebrae:
-                raise ValueError(f"fuse_pairs entries must be adjacent (k, k+1) in range; got {(a, b)}")
+            if b != a + 1:
+                raise ValueError(f"fuse_pairs entries must be adjacent (k, k+1); got {(a, b)}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "PhantomSpec":
-        raw = json.loads(text)
-        for key in ("corpus_radii", "process_size"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        if "fuse_pairs" in raw:
-            raw["fuse_pairs"] = tuple(tuple(p) for p in raw["fuse_pairs"])
-        return cls(**raw)
+        return cls(**json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -112,15 +98,12 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _checked_whole(self.seed, "seed"))
-        for name in ("p_erosion", "p_labeldrop", "p_downup"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {p}")
-        if self.erosion_radius < 0:
-            raise ValueError("erosion_radius must be >= 0")
-        if self.boundary_jitter_mm < 0:
-            raise ValueError("boundary_jitter_mm must be >= 0")
+        _check_fields(
+            self,
+            ("p_erosion p_labeldrop p_downup", dict(ge=0, le=1)),
+            ("erosion_radius seed", dict(whole=True, ge=0)),
+            ("boundary_jitter_mm", dict(ge=0)),
+        )
 
     @classmethod
     def none(cls, seed: int = 0) -> "NoiseSpec":

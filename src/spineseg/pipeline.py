@@ -29,7 +29,7 @@ from .assembly import CUTOUT_SIZE, MIN_VOLUME_FRACTION, PredictorError, answers,
 from .labels import Structure
 from .nifti import read_nifti, write_nifti
 from .postproc import enforce_consistency
-from .volume import Volume, checked_spacing, checked_window_size, resample, to_canonical, usable_cpus
+from .volume import Volume, checked_numbers, checked_spacing, checked_window_size, resample, to_canonical, usable_cpus
 
 N_CLASSES = len(Structure)
 DEFAULT_SPACING = (0.75, 0.75, 1.65)
@@ -47,8 +47,7 @@ class TilingSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "patch_size", checked_window_size(self.patch_size, "patch_size"))
-        if not 0.0 <= self.overlap < 1.0:
-            raise ValueError(f"overlap must be in [0, 1), got {self.overlap}")
+        object.__setattr__(self, "overlap", checked_numbers(self.overlap, "overlap", ge=0, lt=1))
         if self.blend not in ("gaussian", "uniform"):
             raise ValueError(f"blend must be 'gaussian' or 'uniform', got {self.blend!r}")
 
@@ -258,10 +257,8 @@ class ExternalPredictor:
     """
 
     def __init__(self, command: str, exchange_dir=None, timeout: float = 300.0):
-        if not 0.0 < timeout < math.inf:
-            raise ValueError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
         self.command = command
-        self.timeout = timeout
+        self.timeout = checked_numbers(timeout, "timeout", gt=0)
         # each call deletes its own uuid-named files, so the shared temp dir serves
         self.exchange_dir = Path(tempfile.gettempdir() if exchange_dir is None else exchange_dir)
         self.exchange_dir.mkdir(parents=True, exist_ok=True)
@@ -385,9 +382,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.target_spacing is not None:
             object.__setattr__(self, "target_spacing", checked_spacing(self.target_spacing, "target_spacing"))
-        # NaN fails this test too: it would drop every corpus component
-        if not 0.0 <= self.min_volume_fraction < math.inf:
-            raise ValueError(f"min_volume_fraction must be finite and >= 0, got {self.min_volume_fraction!r}")
+        # NaN would drop every corpus component
+        fraction = checked_numbers(self.min_volume_fraction, "min_volume_fraction", ge=0)
+        object.__setattr__(self, "min_volume_fraction", fraction)
         object.__setattr__(self, "cutout_size", checked_window_size(self.cutout_size, "cutout_size"))
 
     def to_dict(self) -> dict:

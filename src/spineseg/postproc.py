@@ -73,8 +73,8 @@ def enforce_consistency(semantic, instance):
     back as uint16.
     """
     check_same_grid(semantic, instance)
-    sem = checked_labels(as_array(semantic), len(Structure)).copy()
-    inst = checked_labels(as_array(instance), INSTANCE_ID_MAX + 1).copy()
+    sem = checked_labels(as_array(semantic), len(Structure), copy=True)
+    inst = checked_labels(as_array(instance), INSTANCE_ID_MAX + 1, copy=True)
     report = ConsistencyReport()
 
     # sem is a copy and inst another array, so their fills are independent

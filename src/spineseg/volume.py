@@ -8,6 +8,9 @@ of increasing index, so the canonical orientation is ("P", "I", "R").
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -46,28 +49,41 @@ def validate_orientation(codes: Sequence[str]) -> tuple[str, str, str]:
     return codes  # type: ignore[return-value]
 
 
-def checked_spacing(spacing, name: str = "spacing") -> tuple[float, float, float]:
-    """``spacing`` as three floats; ValueError unless they are finite and positive."""
+def checked_numbers(value, name: str, n: int | None = None, *, whole=False, ge=None, gt=None, le=None, lt=None):
+    """``value`` as one number, or as a tuple of ``n`` numbers when ``n`` is
+    given: ints when ``whole``, floats otherwise. Each must be a real
+    (no bool or string), finite, whole when ``whole``, and ``>= ge``,
+    ``> gt``, ``<= le`` and ``< lt`` for each bound given; anything else
+    raises ValueError naming ``name``, the rule and ``value``."""
+    bounds = [(ge, ">=", operator.ge), (gt, ">", operator.gt), (le, "<=", operator.le), (lt, "<", operator.lt)]
+    bounds = [(b, sign, test) for b, sign, test in bounds if b is not None]
     try:
-        out = tuple(float(s) for s in spacing)
-    except (TypeError, ValueError):
-        out = ()
-    # NaN fails every comparison, so it fails this one too
-    if len(out) != 3 or not all(0.0 < s < np.inf for s in out):
-        raise ValueError(f"{name} must be 3 finite positive reals, got {spacing!r}")
-    return out  # type: ignore[return-value]
+        items = (value,) if n is None else tuple(value)
+        # int() of NaN or an infinity raises, and a fraction differs from its int
+        out = tuple(int(v) if whole else float(v) for v in items)
+        ok = len(out) == (n or 1) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and v == w and math.isfinite(w)
+            and all(test(w, b) for b, _, test in bounds)
+            for v, w in zip(items, out)
+        )
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        noun = "whole number" if whole else "finite real"
+        rule = " and ".join(f"{sign} {b:g}" for b, sign, _ in bounds)
+        if rule == "> 0" and not whole:
+            noun, rule = "finite positive real", ""
+        what = f"a {noun}" if n is None else f"{n} {noun}s"
+        raise ValueError(f"{name} must be {what}{rule and ' ' + rule}, got {value!r}")
+    return out if n is not None else out[0]
+
+
+def checked_spacing(spacing, name: str = "spacing") -> tuple[float, float, float]:
+    return checked_numbers(spacing, name, 3, gt=0)
 
 
 def checked_window_size(size, name: str) -> tuple[int, int, int]:
-    """``size`` as three ints; ValueError unless each is a whole number >= 1."""
-    try:
-        out = tuple(int(n) for n in size)
-        whole = out == tuple(size)
-    except (TypeError, ValueError, OverflowError):
-        out, whole = (), False
-    if len(out) != 3 or not whole or min(out) < 1:
-        raise ValueError(f"{name} must be 3 whole numbers >= 1, got {size!r}")
-    return out  # type: ignore[return-value]
+    return checked_numbers(size, name, 3, whole=True, ge=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +102,7 @@ class Volume:
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        if data.ndim != 3:
-            raise ValueError(f"expected a 3D array, got shape {data.shape}")
-        if min(data.shape) < 1:
-            raise ValueError(f"all dims must be >= 1, got {data.shape}")
+        checked_window_size(data.shape, "data shape")
         spacing = checked_spacing(self.spacing)
         if self.kind not in VOLUME_KINDS:
             raise ValueError(f"kind must be one of {VOLUME_KINDS}, got {self.kind!r}")
@@ -330,12 +343,17 @@ def fill_holes(mask: np.ndarray) -> np.ndarray:
 
 
 def binary_erosion(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Erode by a Euclidean ball of the given voxel radius."""
+    """Erode by a Euclidean ball of the given voxel radius (>= 0).
+
+    Space beyond the faces counts as background, so a voxel survives only
+    with its whole ball inside the volume: a ball wider than the shortest
+    axis empties the mask, and that answer comes without building it.
+    """
     mask = np.asarray(mask) != 0
-    if radius <= 0:
-        return mask.copy()
-    se = _ball(radius)
-    return ndi.binary_erosion(mask, structure=se, border_value=0)
+    if 2 * radius + 1 > min(mask.shape):
+        return np.zeros_like(mask)
+    grid = np.mgrid[-radius : radius + 1, -radius : radius + 1, -radius : radius + 1]
+    return ndi.binary_erosion(mask, structure=(grid**2).sum(axis=0) <= radius**2, border_value=0)
 
 
 def binary_closing(mask: np.ndarray) -> np.ndarray:
@@ -349,12 +367,6 @@ def binary_closing(mask: np.ndarray) -> np.ndarray:
     padded = np.pad(np.asarray(mask) != 0, 1, mode="constant", constant_values=False)
     closed = ndi.binary_erosion(ndi.binary_dilation(padded, structure=se), structure=se)
     return closed[1:-1, 1:-1, 1:-1]
-
-
-def _ball(radius: int) -> np.ndarray:
-    r = int(radius)
-    grid = np.mgrid[-r : r + 1, -r : r + 1, -r : r + 1]
-    return (grid**2).sum(axis=0) <= r * r
 
 
 def overlap(origin_a, shape_a, origin_b, shape_b):

@@ -152,8 +152,13 @@ class TestPhantom:
             ("spec", "spacing", [-0.75, 0.75, 1.65], "invalid phantom spec: spacing must be 3 finite positive"),
             ("spec", "n_vertebrae", 7.5, "invalid phantom spec: n_vertebrae must be a whole number"),
             ("flag", "--spacing", "-0.75,0.75,1.65", "invalid phantom parameters: spacing must be 3 finite"),
+            # this one wrote a phantom without discs or endplates, exit 0
+            ("spec", "disc_thickness", float("nan"), "invalid phantom spec: disc_thickness must be a finite positive"),
         ],
-        ids=["fractional-dims", "two-dims", "text-spacing", "negative-spacing", "fractional-count", "negative-flag"],
+        ids=[
+            "fractional-dims", "two-dims", "text-spacing", "negative-spacing", "fractional-count", "negative-flag",
+            "nan-disc",
+        ],
     )
     def test_bad_grid_or_count_is_usage_error(self, tmp_path, capsys, source, key, value, message):
         args = (f"{key}={value}",)  # one token: argparse would read "-0.75,..." as a flag
@@ -273,7 +278,7 @@ class TestFuse:
 
 
 class TestSegment:
-    def test_oracle_run_reproduces_ground_truth(self, phantom_dir, tmp_path):
+    def test_oracle_run_reproduces_ground_truth(self, phantom_dir, tmp_path, capsys):
         out = tmp_path / "seg"
         code = run_cli(
             "segment", "--input", phantom_dir / "intensity.nii.gz",
@@ -292,6 +297,8 @@ class TestSegment:
         assert set(report["timings_s"]) == {"prepare", "semantic", "instance", "consistency"}
         assert report["processing_dims"] == [160, 192, 32]
         assert len(report["assembly"]["groups"]) == 4
+        assert run_cli("report", out / "run.json") == 0
+        assert "assembly: 0 conflict voxels; vertebrae on union fallback: none\n" in capsys.readouterr().out
 
     def test_default_flags_record_the_default_config(self, phantom_dir, tmp_path):
         out = tmp_path / "seg"
@@ -444,7 +451,7 @@ class TestSegment:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("timeout", ["nan", "0", "-1", "inf"])
     def test_bad_external_timeout_is_usage_error(self, phantom_dir, tmp_path, timeout, capsys):
         code = run_cli(
             "segment", "--input", phantom_dir / "intensity.nii.gz",
@@ -455,10 +462,14 @@ class TestSegment:
         assert code == 2
         assert "timeout must be a finite positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seed", [-1, 2.5])
-    def test_bad_noise_seed_is_usage_error(self, phantom_dir, tmp_path, capsys, seed):
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", -1), ("seed", 2.5), ("boundary_jitter_mm", float("nan"))],
+        ids=["seed--1", "seed-2.5", "jitter-nan"],  # NaN jitter used to turn jitter off unseen
+    )
+    def test_bad_noise_spec_is_usage_error(self, phantom_dir, tmp_path, capsys, field, value):
         noise = tmp_path / "noise.json"
-        noise.write_text(json.dumps({"seed": seed}))
+        noise.write_text(json.dumps({field: value}))
         code = run_cli(
             "segment", "--input", phantom_dir / "intensity.nii.gz",
             "--semantic", f"oracle:{phantom_dir / 'semantic.nii.gz'},{noise}",
@@ -466,7 +477,7 @@ class TestSegment:
             "--out-dir", tmp_path / "seg",
         )
         assert code == 2
-        assert "invalid noise spec" in capsys.readouterr().err
+        assert f"invalid noise spec {noise}: {field} must be" in capsys.readouterr().err
 
     def test_bad_overlap_is_usage_error(self, phantom_dir, tmp_path):
         code = run_cli(
@@ -635,6 +646,23 @@ class TestReport:
         assert "vertebra: DSC 0.0000, instance DSC n/a, RQ 0.0000, SQ 0.0000, PQ 0.0000, ASSD n/a, TP 0" in (
             capsys.readouterr().out
         )
+
+    def test_assembly_decisions(self, tmp_path, capsys):
+        flags = [{"kind": "no_vertebra_above", "code": int(code), "assigned_to": 1}
+                 for code in (Structure.IVD, Structure.IVD, Structure.ENDPLATE)]
+        flags.append({"kind": "unassigned", "reason": "no vertebra instances", "code": int(Structure.IVD)})
+        assembly = dict(groups=[], conflict_voxels=12, union_fallbacks=[3, 5], assignment_flags=flags)
+        report = dict(processing_dims=[8, 8, 8], processing_spacing=[1.0, 1.0, 1.0], n_patches=1, assembly=assembly)
+        json_path = tmp_path / "run.json"
+        json_path.write_text(json.dumps({"command": "segment", "report": report}))
+        assert run_cli("report", json_path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("assembly: 12 conflict voxels; vertebrae on union fallback: 3, 5")
+        assert lines[start + 1 : start + 4] == [
+            "  no vertebra above: 1 endplate component",
+            "  no vertebra above: 2 ivd components",
+            "  unassigned: 1 ivd component",
+        ]
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli("report", tmp_path / "nope.json") == 2

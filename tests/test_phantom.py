@@ -54,16 +54,31 @@ class TestSpecValidation:
             dict(spacing=(0.75, "x", 1.65)),
             dict(spacing=(-0.75, 0.75, 1.65)),
             dict(n_vertebrae=7.5),
+            # accepted before every field went through the number rule
+            dict(disc_thickness=float("nan")),  # a phantom without discs or endplates
+            dict(canal_radius=float("nan")),  # a phantom without most of its structures
+            dict(fuse_pairs=((1.5, 2.5),)),  # ignored
+            dict(corpus_radii=(13.0, 6.5)),  # "not enough values to unpack" in generate_phantom
+            dict(process_size=(13.0, 6.0)),
+            dict(include_sacrum="no"),  # a string is true
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^{'|'.join(kwargs)}|^(disc thickness|cord radius)"):
             PhantomSpec(**kwargs)
 
+    def test_fields_are_stored_as_the_rule_returns_them(self):
+        spec = PhantomSpec(corpus_radii=[13, 6.5, 14], pitch=20, fuse_pairs=[[2.0, 3]], dims=[256.0, 384, 64])
+        assert spec.corpus_radii == (13.0, 6.5, 14.0) and type(spec.pitch) is float
+        assert spec.fuse_pairs == ((2, 3),) and spec.dims == (256, 384, 64)
+        assert all(type(v) is int for v in (*spec.fuse_pairs[0], *spec.dims))
+        # integer-valued reals are written back as floats, and read back equal
+        assert '"pitch": 20.0' in spec.to_json() and PhantomSpec.from_json(spec.to_json()) == spec
+
     def test_noise_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="p_erosion"):
             NoiseSpec(p_erosion=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="erosion_radius"):
             NoiseSpec(erosion_radius=-1)
 
     @pytest.mark.parametrize("spec", [PhantomSpec, NoiseSpec])

@@ -1129,9 +1129,9 @@ class TestRunPipeline:
             ("cutout_size", (128, 10.5, 32), "cutout_size must be 3 whole numbers"),
             ("target_spacing", (0, 1, 1), "target_spacing must be 3 finite positive reals"),
             ("target_spacing", (float("nan"), 1, 1), "target_spacing must be 3 finite positive reals"),
-            ("min_volume_fraction", float("nan"), "min_volume_fraction must be finite and >= 0"),
-            ("min_volume_fraction", float("inf"), "min_volume_fraction must be finite and >= 0"),
-            ("min_volume_fraction", -0.1, "min_volume_fraction must be finite and >= 0"),
+            ("min_volume_fraction", float("nan"), "min_volume_fraction must be a finite real >= 0"),
+            ("min_volume_fraction", float("inf"), "min_volume_fraction must be a finite real >= 0"),
+            ("min_volume_fraction", -0.1, "min_volume_fraction must be a finite real >= 0"),
         ],
         ids=[
             "cutout-2d", "cutout-zero", "cutout-negative", "cutout-fraction", "spacing-zero",

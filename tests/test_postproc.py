@@ -1,6 +1,7 @@
 """Consistency enforcement between semantic and instance masks."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,47 @@ class TestEnforceConsistency:
         sem, inst = random_pair(rng)
         sem0, inst0 = sem.copy(), inst.copy()
         enforce_consistency(sem, inst)
+        assert np.array_equal(sem, sem0) and np.array_equal(inst, inst0)
+
+    @pytest.mark.parametrize("module", [postproc, assembly], ids=["consistency", "assign"])
+    def test_a_wider_mask_is_copied_once(self, monkeypatch, module):
+        # an int64 mask needs a uint16 copy, which the cast already is: when
+        # the entry starts its work (its first concurrently call) it holds
+        # 2 bytes a voxel per int64 mask, where a second copy made it 4
+        shape = (64, 64, 32)
+        sem = np.zeros(shape, dtype=np.int64)
+        sem[8:24, 8:24, 8:24] = Structure.CORPUS
+        inst = np.where(sem == Structure.CORPUS, 1, 0)
+        peaks = []
+
+        def probe(*calls):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return concurrently(*calls)
+
+        monkeypatch.setattr(module, "concurrently", probe)
+        if module is postproc:
+            run, n_masks = lambda: enforce_consistency(sem, inst), 2
+        else:
+            semantic = make_volume(sem)
+            run, n_masks = lambda: assign_disc_endplate_instances(semantic, inst), 1
+        tracemalloc.start()
+        try:
+            run()
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= n_masks * 2 * sem.size + 64 * 1024
+
+    def test_uint16_masks_are_copied_not_written(self):
+        sem = np.zeros((8, 20, 8), dtype=np.uint16)
+        sem[2:6, 2:6, 2:6] = Structure.CORPUS
+        sem[2:6, 8:10, 2:6] = Structure.IVD
+        inst = np.where(sem == Structure.CORPUS, 1, 0).astype(np.uint16)
+        sem0, inst0 = sem.copy(), inst.copy()
+        sem2, inst2, _ = enforce_consistency(sem, inst)
+        inst3, _ = assign_disc_endplate_instances(make_volume(sem), inst)
+        for out in (inst2, inst3):
+            assert (out[2:6, 8:10, 2:6] == ivd_id(1)).all()  # each entry wrote to its own copy
+        assert not any(np.shares_memory(out, x) for out in (sem2, inst2, inst3) for x in (sem, inst))
         assert np.array_equal(sem, sem0) and np.array_equal(inst, inst0)
 
     def test_volume_in_volume_out(self, standard_phantom):

@@ -1,9 +1,11 @@
 """Volume core ops against brute-force oracles."""
 
+import math
 import sys
 import threading
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,10 +13,14 @@ import scipy.ndimage as ndi
 
 import spineseg.volume
 from spineseg.nifti import read_nifti, write_nifti
+from spineseg.phantom import NoiseSpec, PhantomSpec
+from spineseg.pipeline import ExternalPredictor, PipelineConfig, TilingSpec
 from spineseg.volume import (
     CANONICAL_ORIENTATION,
     Volume,
+    binary_erosion,
     bounding_box,
+    checked_numbers,
     concurrently,
     connected_components,
     fill_holes,
@@ -717,3 +723,128 @@ class TestVolumeValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             Volume(np.zeros((2, 2, 2)), kind="labels")
+
+
+# every number a spec, config or predictor takes from outside, as
+# (owner, build from the one keyword, field, a valid value)
+NUMERIC_FIELDS = [
+    *(("PhantomSpec", PhantomSpec, field, value) for field, value in (
+        ("n_vertebrae", 7),
+        ("corpus_radii", (13.0, 6.5, 14.0)),
+        ("disc_thickness", 4.0),
+        ("canal_radius", 7.0),
+        ("cord_radius", 3.5),
+        ("process_size", (13.0, 6.0, 5.0)),
+        ("pitch", 20.0),
+        ("seed", 0),
+        ("dims", (256, 384, 64)),
+        ("spacing", (0.75, 0.75, 1.65)),
+    )),
+    ("PhantomSpec", lambda fuse_pairs: PhantomSpec(fuse_pairs=(fuse_pairs,)), "fuse_pairs", (2, 3)),
+    *(("NoiseSpec", NoiseSpec, field, value) for field, value in (
+        ("p_erosion", 0.1),
+        ("erosion_radius", 1),
+        ("p_labeldrop", 0.1),
+        ("p_downup", 0.1),
+        ("boundary_jitter_mm", 0.0),
+        ("seed", 0),
+    )),
+    ("TilingSpec", TilingSpec, "patch_size", (256, 256, 64)),
+    ("TilingSpec", TilingSpec, "overlap", 0.5),
+    ("PipelineConfig", PipelineConfig, "target_spacing", (0.75, 0.75, 1.65)),
+    ("PipelineConfig", PipelineConfig, "min_volume_fraction", 0.1),
+    ("PipelineConfig", PipelineConfig, "cutout_size", (128, 112, 64)),
+    ("ExternalPredictor", partial(ExternalPredictor, "true"), "timeout", 300.0),
+]
+
+
+def bad_numbers(good):
+    """(id, value) pairs the number rule rejects in place of ``good``: NaN,
+    infinities, a string and None, a fraction where ``good`` is whole, and
+    for a tuple each of those as its last entry plus a wrong length."""
+    whole = all(isinstance(v, int) for v in np.atleast_1d(good).tolist())
+    bad = [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf), ("text", "1"), ("none", None)]
+    if not isinstance(good, tuple):
+        return bad + [("fraction", good + 0.5)] * whole
+    last = [(f"last-{name}", (*good[:-1], value)) for name, value in bad]
+    return last + [("last-fraction", (*good[:-1], good[-1] + 0.5))] * whole + [
+        ("short", good[:-1]),
+        ("long", (*good, good[-1])),
+    ]
+
+
+class TestCheckedNumbers:
+    def test_returns_ints_or_floats(self):
+        assert checked_numbers(2.0, "seed", whole=True, ge=0) == 2
+        assert type(checked_numbers(np.int64(2), "seed", whole=True)) is int
+        assert checked_numbers(np.array([1, 2, 3]), "spacing", 3, gt=0) == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in checked_numbers((1, 2, 3), "spacing", 3, gt=0))
+        assert checked_numbers(0, "overlap", ge=0, lt=1) == 0.0
+
+    @pytest.mark.parametrize(
+        "name, value, n, rule, message",
+        [
+            ("spacing", (0, 1, 1), 3, dict(gt=0), "spacing must be 3 finite positive reals, got (0, 1, 1)"),
+            ("patch_size", (8, 8), 3, dict(whole=True, ge=1), "patch_size must be 3 whole numbers >= 1, got (8, 8)"),
+            ("seed", -1, None, dict(whole=True, ge=0), "seed must be a whole number >= 0, got -1"),
+            ("count", 25, None, dict(whole=True, ge=3, le=24), "count must be a whole number >= 3 and <= 24, got 25"),
+            ("overlap", 1.0, None, dict(ge=0, lt=1), "overlap must be a finite real >= 0 and < 1, got 1.0"),
+            ("timeout", math.inf, None, dict(gt=0), "timeout must be a finite positive real, got inf"),
+            ("x", True, None, {}, "x must be a finite real, got True"),
+        ],
+    )
+    def test_message_names_the_field_the_rule_and_the_value(self, name, value, n, rule, message):
+        with pytest.raises(ValueError) as err:
+            checked_numbers(value, name, n, **rule)
+        assert str(err.value) == message
+
+    def test_an_iterator_is_checked_entry_by_entry(self):
+        assert checked_numbers(iter([1, 2, 3]), "spacing", 3, gt=0) == (1.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="spacing"):
+            checked_numbers(iter(["1", "2", "3"]), "spacing", 3, gt=0)
+
+    @pytest.mark.parametrize(
+        "build, field, value",
+        [
+            pytest.param(build, field, value, id=f"{owner}.{field}-{case}")
+            for owner, build, field, good in NUMERIC_FIELDS
+            for case, value in bad_numbers(good)
+        ],
+    )
+    def test_every_numeric_field_rejects_a_bad_value(self, build, field, value):
+        with pytest.raises(ValueError) as err:
+            build(**{field: value})
+        assert str(err.value).startswith(f"{field} ")
+
+    @pytest.mark.parametrize(
+        "build, field, good", [pytest.param(*entry[1:], id=f"{entry[0]}.{entry[2]}") for entry in NUMERIC_FIELDS]
+    )
+    def test_every_numeric_field_takes_its_valid_value(self, build, field, good):
+        build(**{field: good})
+
+
+class TestBinaryErosion:
+    def test_matches_a_shifted_and_oracle(self):
+        # a voxel survives when the mask holds every voxel of its ball,
+        # with space beyond the faces counted as background
+        rng = np.random.default_rng(4)
+        mask = rng.random((9, 10, 11)) < 0.9
+        for radius in (0, 1, 2, 4, 5):
+            padded = np.pad(mask, radius)
+            expected = np.ones_like(mask)
+            for offset in np.ndindex(*(2 * radius + 1,) * 3):
+                if sum((o - radius) ** 2 for o in offset) <= radius**2:
+                    expected &= padded[tuple(slice(o, o + d) for o, d in zip(offset, mask.shape))]
+            assert np.array_equal(binary_erosion(mask, radius), expected), radius
+
+    def test_a_ball_as_wide_as_the_shortest_axis_leaves_its_centre(self):
+        mask = np.ones((7, 9, 11), dtype=bool)
+        eroded = binary_erosion(mask, 3)
+        assert np.argwhere(eroded).tolist() == [[3, y, z] for y in range(3, 6) for z in range(3, 8)]
+        assert not binary_erosion(mask, 4).any()
+
+    def test_a_huge_radius_empties_the_mask_without_building_the_ball(self):
+        mask = np.ones((20, 20, 20), dtype=bool)
+        # a ball of radius 10**6 would take about 10**19 bytes to build
+        assert np.array_equal(binary_erosion(mask, 10**6), binary_erosion(mask, 20))
+        assert not binary_erosion(mask, 10**6).any()
