@@ -22,6 +22,7 @@ from .labels import INSTANCE_ID_MAX, VERTEBRA_ID_MAX, Structure, checked_labels,
 from .volume import (
     Volume,
     bounding_box,
+    checked_numbers,
     checked_window_size,
     concurrently,
     connected_components,
@@ -120,18 +121,16 @@ def find_corpus_centers(semantic: Volume, min_volume_fraction: float = MIN_VOLUM
     """Corpus-component centroids ordered superior to inferior.
 
     Components smaller than ``min_volume_fraction`` times the median
-    component volume are treated as speckle and dropped.
+    component volume are treated as speckle and dropped. A fraction that
+    is not a finite real >= 0 raises ValueError: NaN or an infinity would
+    drop every component.
     """
-    corpus = semantic.data == Structure.CORPUS
-    comps = connected_components(corpus)
+    fraction = checked_numbers(min_volume_fraction, "min_volume_fraction", ge=0)
+    comps = connected_components(semantic.data == Structure.CORPUS)
     if comps.count == 0:
         return []
     median = float(np.median(comps.sizes))
-    centers = [
-        comps.centroids[i]
-        for i in range(comps.count)
-        if comps.sizes[i] >= min_volume_fraction * median
-    ]
+    centers = [c for c, size in zip(comps.centroids, comps.sizes) if size >= fraction * median]
     centers.sort(key=lambda c: c[1])
     return centers
 
@@ -381,15 +380,13 @@ def assemble(
     semantic = semantic.with_data(checked_labels(semantic.data, len(Structure)), kind="semantic")
     report = AssemblyReport()
     centers = find_corpus_centers(semantic, min_volume_fraction)
-    empty = Volume(
-        np.zeros(semantic.dims, dtype=np.uint16),
-        semantic.spacing,
-        semantic.orientation,
-        "instance",
-    )
     if not centers:
-        report.warnings.append("no corpus components found; instance mask is empty")
-        return empty, report
+        found = connected_components(semantic.data == Structure.CORPUS).count
+        why = "no corpus components found"
+        if found:
+            why = f"{found} corpus components found, none of at least {float(min_volume_fraction):g} x the median size"
+        report.warnings.append(f"{why}; instance mask is empty")
+        return semantic.with_data(np.zeros(semantic.dims, dtype=np.uint16), kind="instance"), report
     if len(centers) > VERTEBRA_ID_MAX:
         raise TooManyVertebraeError(
             f"{len(centers)} corpus components found; vertebra ids stop at {VERTEBRA_ID_MAX}"

@@ -237,7 +237,7 @@ def cmd_segment(args) -> int:
     patch = _numbers(args.patch, "--patch")
     target = None if args.spacing == "keep" else _numbers(args.spacing, "--spacing")
     try:
-        tiling = TilingSpec(patch_size=patch, overlap=args.overlap, blend=args.blend)
+        tiling = TilingSpec(patch_size=patch, overlap=args.overlap)
         config = PipelineConfig(target_spacing=target, tiling=tiling)
     except ValueError as e:
         raise UsageError(str(e))
@@ -339,6 +339,15 @@ def _report_lines(payload: dict) -> list[str]:
             f"{report['n_patches']} patches"
         )
         asm = report.get("assembly", {})
+        cutouts = asm.get("cutouts", [])
+        if cutouts:
+            lines.append(f"cutouts: {len(cutouts)}, {sum(bool(c['clamped']) for c in cutouts)} clamped")
+            sharing = {}
+            for c in cutouts:
+                sharing.setdefault(tuple(c["origin"]), []).append(str(c["index"]))
+            for origin, indices in sharing.items():
+                if len(indices) > 1:
+                    lines.append(f"  cutouts {', '.join(indices)} share origin {list(origin)}: identical windows")
         if asm.get("groups"):
             lines.append(f"vertebra groups: {len(asm['groups'])}")
             for g in asm["groups"]:
@@ -436,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--patch", default=",".join(str(n) for n in TilingSpec.patch_size))
     p.add_argument("--overlap", type=float, default=TilingSpec.overlap)
-    p.add_argument("--blend", choices=["gaussian", "uniform"], default=TilingSpec.blend)
     p.add_argument(
         "--spacing",
         default=",".join(str(s) for s in DEFAULT_SPACING),

@@ -20,6 +20,7 @@ from .labels import LABEL_MAX, Structure, checked_labels, classify_instance_id
 from .volume import Volume, as_array, check_same_grid, checked_spacing, concurrently
 
 INSTANCE_KINDS = ("vertebra", "ivd", "endplate")
+EXACT_LIMIT = 25  # retained pairs up to which the Wilcoxon p-value is exact
 
 
 def dice(a, b) -> float:
@@ -293,12 +294,12 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return (last - 0.5 * (counts - 1))[inverse]
 
 
-def wilcoxon_signed_rank(x, y, exact_limit: int = 25) -> WilcoxonResult:
+def wilcoxon_signed_rank(x, y) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     Zero differences are dropped; tied absolute differences share average
     ranks; the statistic is min(W+, W-). The p-value is exact (full sign
-    enumeration via counting) up to ``exact_limit`` retained pairs and a
+    enumeration via counting) up to ``EXACT_LIMIT`` (25) retained pairs and a
     normal approximation with continuity and tie correction above that.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -321,7 +322,7 @@ def wilcoxon_signed_rank(x, y, exact_limit: int = 25) -> WilcoxonResult:
     w_minus = float(ranks[diff < 0].sum())
     stat = min(w_plus, w_minus)
 
-    if n <= exact_limit:
+    if n <= EXACT_LIMIT:
         doubled = np.rint(2.0 * ranks).astype(np.int64)
         p = _exact_two_sided_p(doubled, int(round(2.0 * stat)))
     else:

@@ -66,6 +66,8 @@ class PhantomSpec:
             raise ValueError("disc thickness must be smaller than the vertebra pitch")
         if self.cord_radius >= self.canal_radius:
             raise ValueError("cord radius must be smaller than the canal radius")
+        if not isinstance(self.fuse_pairs, (list, tuple)):
+            raise ValueError(f"fuse_pairs must be a list of [k, k+1] pairs, got {self.fuse_pairs!r}")
         pairs = (checked_numbers(p, "fuse_pairs entry", 2, whole=True, ge=1, le=self.n_vertebrae) for p in self.fuse_pairs)
         object.__setattr__(self, "fuse_pairs", tuple(pairs))
         for a, b in self.fuse_pairs:
@@ -105,10 +107,6 @@ class NoiseSpec:
             ("boundary_jitter_mm", dict(ge=0)),
         )
 
-    @classmethod
-    def none(cls, seed: int = 0) -> "NoiseSpec":
-        return cls(p_erosion=0.0, p_labeldrop=0.0, p_downup=0.0, boundary_jitter_mm=0.0, seed=seed)
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
@@ -125,8 +123,6 @@ class _Painter:
     """First-wins painting of geometric regions into semantic/instance grids."""
 
     def __init__(self, dims, spacing):
-        self.dims = dims
-        self.spacing = spacing
         self.semantic = np.zeros(dims, dtype=np.uint16)
         self.instance = np.zeros(dims, dtype=np.uint16)
         self.centers = [_axis_centers(d, s) for d, s in zip(dims, spacing)]
@@ -158,14 +154,6 @@ class _Painter:
         sub[sel] = code
         if instance_id:
             self.instance[box][sel] = instance_id
-
-    def paint_rows(self, code, instance_id, rows, lo_mm, hi_mm, condition):
-        """Paint specific axis-1 voxel rows (for 1-voxel endplate layers)."""
-        footprint = lambda x, _y, z: condition(x, z)
-        for r in rows:
-            if 0 <= r < self.dims[1]:  # row -1 must not wrap to the last row
-                y = self.centers[1][r]
-                self.paint(code, instance_id, (lo_mm[0], y, lo_mm[1]), (hi_mm[0], y, hi_mm[1]), footprint)
 
 
 def generate_phantom(spec: PhantomSpec):
@@ -282,15 +270,16 @@ def generate_phantom(spec: PhantomSpec):
             lambda x, y, z: disc_footprint(x, z),
         )
         disc_rows = np.nonzero((p.centers[1] >= d0) & (p.centers[1] <= d1))[0]
-        if disc_rows.size:
-            layer_rows = [int(disc_rows[0]) - 1, int(disc_rows[-1]) + 1]
-            p.paint_rows(
+        # endplates: the one-voxel rows just above and below the disc, inside the grid
+        rows = [r for r in (disc_rows[0] - 1, disc_rows[-1] + 1) if 0 <= r < dims[1]] if disc_rows.size else []
+        if rows:
+            ys = p.centers[1][rows]
+            p.paint(
                 Structure.ENDPLATE,
                 endplate_id(uid),
-                layer_rows,
-                (corpus_x - disc_rx, z_mid - disc_rz),
-                (corpus_x + disc_rx, z_mid + disc_rz),
-                disc_footprint,
+                (corpus_x - disc_rx, ys[0], z_mid - disc_rz),
+                (corpus_x + disc_rx, ys[-1], z_mid + disc_rz),
+                lambda x, y, z: np.isin(y, ys) & disc_footprint(x, z),
             )
 
     # canal and cord run the full column height (open tube ends)

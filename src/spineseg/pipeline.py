@@ -1,7 +1,7 @@
 """Two-phase segmentation pipeline with pluggable predictors.
 
 Phase one predicts the 14-class semantic mask patch-wise over a sliding
-grid, blending overlapping patches with a gaussian (or uniform) window.
+grid, blending overlapping patches with a Gaussian window.
 Phase two assembles vertebra instances from corpus-centroid cutouts.
 Predictors are in-process objects or external commands exchanging NIfTI
 files, so any model framework can plug in without being imported here.
@@ -43,13 +43,10 @@ _MAX_RUNNING = 2
 class TilingSpec:
     patch_size: tuple[int, int, int] = (256, 256, 64)
     overlap: float = 0.5
-    blend: str = "gaussian"
 
     def __post_init__(self):
         object.__setattr__(self, "patch_size", checked_window_size(self.patch_size, "patch_size"))
         object.__setattr__(self, "overlap", checked_numbers(self.overlap, "overlap", ge=0, lt=1))
-        if self.blend not in ("gaussian", "uniform"):
-            raise ValueError(f"blend must be 'gaussian' or 'uniform', got {self.blend!r}")
 
 
 def _axis_positions(dim: int, patch: int, overlap: float) -> list[int]:
@@ -65,9 +62,8 @@ def tile_volume(dims, spec: TilingSpec):
     return [(x, y, z) for x in axes[0] for y in axes[1] for z in axes[2]]
 
 
-def _blend_window(shape, blend: str) -> np.ndarray:
-    if blend == "uniform":
-        return np.ones(shape, dtype=np.float32)
+def _blend_window(shape) -> np.ndarray:
+    """nnU-Net's Gaussian patch weight: per axis, sigma = edge / 8, at least 1."""
     w = np.ones(shape, dtype=np.float32)
     for axis, n in enumerate(shape):
         sigma = max(n / 8.0, 1.0)
@@ -204,7 +200,7 @@ def predict_semantic(vol: Volume, predictor, spec: TilingSpec = TilingSpec()) ->
     origins = tile_volume(dims, spec)
     # every origin is at most dim - patch, so all patches share one shape
     shape = tuple(min(p, d) for p, d in zip(spec.patch_size, dims))
-    w = _blend_window(shape, spec.blend)
+    w = _blend_window(shape)
     patch_cells = _patch_cells(origins, shape)
     last = {cell: i for i, cells in enumerate(patch_cells) for cell in cells}
     labels = np.zeros(dims, dtype=np.uint16)

@@ -301,11 +301,11 @@ def connected_components(mask: np.ndarray) -> ComponentSet:
     return ComponentSet(labels=labels, box=box, count=n, sizes=sizes, centroids=centroids)
 
 
-def label_centroids(labels: np.ndarray, n: int, origin=(0, 0, 0)) -> tuple[np.ndarray, np.ndarray]:
+def label_centroids(labels: np.ndarray, n: int, origin) -> tuple[np.ndarray, np.ndarray]:
     """Voxel counts and index centroids of ids 1..n in one pass.
 
-    ``labels`` may be a box cut from a larger grid at index ``origin``;
-    centroids are then in the grid's indices. Returns ``(counts,
+    ``labels`` is a box cut from a larger grid at index ``origin``, and
+    centroids are in the grid's indices. Returns ``(counts,
     centroids)``: row ``i`` describes id ``i + 1``, and an id without
     voxels gets a NaN centroid. The origin is added to the integer
     indices before they are summed, and each coordinate sum adds integers
@@ -403,18 +403,18 @@ def concurrently(*calls) -> list:
     usable_cpus())`` threads, this one among them; the package starts
     threads nowhere else.
 
-    Below a width of 2 every call runs here, in order. Otherwise
-    ``width - 1`` workers start; thread k runs call k first, this one
-    being thread 0, and then each thread takes the next call no thread
-    has taken, in input order, until none is left. Once a call has
-    failed no thread takes another, and its exception reaches the caller
-    after every worker has ended. This thread works rather than waits,
-    so one thread fewer allocates: each one gets its own malloc arena,
-    which keeps the pages of the temporaries freed in it.
+    ``width - 1`` workers start, so below a width of 2 every call runs
+    here, in order. Thread k runs call k first, this one being thread 0,
+    and then each thread takes the next call no thread has taken, in
+    input order, until none is left. Once a call has failed no thread
+    takes another, and its exception reaches the caller after every
+    worker has ended. This thread works rather than waits, so one thread
+    fewer allocates: each one gets its own malloc arena, which keeps the
+    pages of the temporaries freed in it.
     """
+    if not calls:
+        return []
     width = min(len(calls), usable_cpus())
-    if width < 2:
-        return [call() for call in calls]
     results, failures = [None] * len(calls), []
     untaken = iter(range(width, len(calls)))  # next() on it is atomic
 

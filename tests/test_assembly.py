@@ -61,6 +61,24 @@ class TestFindCorpusCenters:
         _, sem, _ = standard_phantom
         assert find_corpus_centers(sem.with_data(np.zeros_like(sem.data))) == []
 
+    @pytest.mark.parametrize("fraction", [np.nan, np.inf, -0.1, "0.1", None])
+    def test_bad_fraction_is_rejected(self, fused_phantom, fraction):
+        # NaN and inf each kept none of the four components, without an error
+        _, sem, inst = fused_phantom
+        with pytest.raises(ValueError, match="^min_volume_fraction must be a finite real >= 0"):
+            find_corpus_centers(sem, fraction)
+        with pytest.raises(ValueError, match="^min_volume_fraction must be a finite real >= 0"):
+            assemble(sem, OracleInstancePredictor(inst, sem), min_volume_fraction=fraction)
+
+    def test_fraction_that_keeps_no_component_is_named(self, standard_phantom):
+        # the warning said "no corpus components found" with seven of them in the mask
+        _, sem, inst = standard_phantom
+        out, report = assemble(sem, OracleInstancePredictor(inst, sem), min_volume_fraction=2.0)
+        assert not out.data.any() and report.cutouts == []
+        assert report.warnings == [
+            "7 corpus components found, none of at least 2 x the median size; instance mask is empty"
+        ]
+
 
 class TestMakeCutouts:
     def test_fit_inside_large_volume(self):

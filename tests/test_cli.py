@@ -154,10 +154,13 @@ class TestPhantom:
             ("flag", "--spacing", "-0.75,0.75,1.65", "invalid phantom parameters: spacing must be 3 finite"),
             # this one wrote a phantom without discs or endplates, exit 0
             ("spec", "disc_thickness", float("nan"), "invalid phantom spec: disc_thickness must be a finite positive"),
+            # these two said "'NoneType' object is not iterable" and "'int' object is not iterable"
+            ("spec", "fuse_pairs", None, "invalid phantom spec: fuse_pairs must be a list of [k, k+1] pairs, got None"),
+            ("spec", "fuse_pairs", 5, "invalid phantom spec: fuse_pairs must be a list of [k, k+1] pairs, got 5"),
         ],
         ids=[
             "fractional-dims", "two-dims", "text-spacing", "negative-spacing", "fractional-count", "negative-flag",
-            "nan-disc",
+            "nan-disc", "null-fuse-pairs", "number-fuse-pairs",
         ],
     )
     def test_bad_grid_or_count_is_usage_error(self, tmp_path, capsys, source, key, value, message):
@@ -662,6 +665,22 @@ class TestReport:
             "  no vertebra above: 1 endplate component",
             "  no vertebra above: 2 ivd components",
             "  unassigned: 1 ivd component",
+        ]
+
+    def test_cutouts_and_shared_origins(self, tmp_path, capsys):
+        cutouts = [dict(index=i, center=[0.0, 0.0, 0.0], origin=origin, clamped=clamped)
+                   for i, origin, clamped in [(1, [0, 0, 0], True), (2, [0, 0, 0], True), (3, [0, 8, 0], False),
+                                              (4, [0, 16, 0], True), (5, [0, 16, 0], True)]]
+        report = dict(processing_dims=[8, 8, 8], processing_spacing=[1.0, 1.0, 1.0], n_patches=1,
+                      assembly=dict(cutouts=cutouts))
+        json_path = tmp_path / "run.json"
+        json_path.write_text(json.dumps({"command": "segment", "report": report}))
+        assert run_cli("report", json_path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("cutouts: 5, 4 clamped")
+        assert lines[start + 1 : start + 3] == [
+            "  cutouts 1, 2 share origin [0, 0, 0]: identical windows",
+            "  cutouts 4, 5 share origin [0, 16, 0]: identical windows",
         ]
 
     def test_missing_file_is_usage_error(self, tmp_path):

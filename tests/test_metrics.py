@@ -291,6 +291,25 @@ def oracle_wilcoxon(x, y):
     return stat, min(1.0, 2.0 * count / 2**n)
 
 
+def oracle_wilcoxon_counted(x, y):
+    """Exact two-sided p for n too large to enumerate: the number of sign
+    patterns per W+ counted rank by rank, in Python integers."""
+    from scipy.stats import rankdata
+
+    d = np.asarray(x, float) - np.asarray(y, float)
+    d = d[d != 0]
+    ranks = [Fraction(r) for r in rankdata(np.abs(d))]
+    stat = min(sum(r for r, v in zip(ranks, d) if v > 0), sum(r for r, v in zip(ranks, d) if v < 0))
+    patterns = Counter({Fraction(0): 1})
+    for r in ranks:
+        grown = Counter(patterns)
+        for w, n in patterns.items():
+            grown[w + r] += n
+        patterns = grown
+    tail = sum(n for w, n in patterns.items() if w <= stat)
+    return min(1.0, 2.0 * tail / 2 ** len(ranks))
+
+
 class TestWilcoxon:
     def test_all_positive_n5_fixture(self):
         res = wilcoxon_signed_rank([2, 3, 4, 5, 6], [1, 1, 1, 1, 1])
@@ -329,12 +348,14 @@ class TestWilcoxon:
         assert res.statistic == 1.5
 
     def test_approximation_close_to_exact_at_cutover(self):
+        # the p-value is exact up to 25 pairs and approximated from 26 on
         rng = np.random.default_rng(23)
         x = rng.normal(0.4, 1.0, size=26)
         y = rng.normal(0.0, 1.0, size=26)
-        exact = wilcoxon_signed_rank(x, y, exact_limit=30)
-        approx = wilcoxon_signed_rank(x, y, exact_limit=10)
-        assert abs(exact.p_value - approx.p_value) < 0.01
+        assert metrics.EXACT_LIMIT == 25
+        assert abs(wilcoxon_signed_rank(x[:25], y[:25]).p_value - oracle_wilcoxon_counted(x[:25], y[:25])) < 1e-12
+        approx, exact = wilcoxon_signed_rank(x, y).p_value, oracle_wilcoxon_counted(x, y)
+        assert 0 < abs(approx - exact) < 0.01
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

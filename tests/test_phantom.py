@@ -61,6 +61,8 @@ class TestSpecValidation:
             dict(corpus_radii=(13.0, 6.5)),  # "not enough values to unpack" in generate_phantom
             dict(process_size=(13.0, 6.0)),
             dict(include_sacrum="no"),  # a string is true
+            dict(fuse_pairs=None),  # "'NoneType' object is not iterable"
+            dict(fuse_pairs=5),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -153,6 +155,18 @@ class TestGeneratePhantom:
         ivd_ids = {int(v) for v in np.unique(inst.data) if 100 < v < 200}
         assert ivd_ids == {101, 102, 103, 104}
 
+    @pytest.mark.parametrize("fixture", ["standard_phantom", "fused_phantom"])
+    def test_endplates_are_the_rows_above_and_below_each_disc(self, request, fixture):
+        _, sem, inst = request.getfixturevalue(fixture)
+        discs = [int(v) for v in np.unique(inst.data) if 100 < v < 200]
+        assert discs and np.isin(inst.data[sem.data == Structure.ENDPLATE], [v + 100 for v in discs]).all()
+        for disc in discs:
+            rows = np.nonzero((inst.data == disc).any(axis=(0, 2)))[0]
+            footprint = (inst.data == disc).any(axis=1)
+            expected = np.zeros(inst.dims, dtype=bool)
+            expected[:, [rows[0] - 1, rows[-1] + 1], :] = footprint[:, None, :]
+            assert np.array_equal(inst.data == disc + 100, expected), disc
+
     def test_two_fused_pairs_number_units_top_down(self):
         _, sem, inst = generate_phantom(PhantomSpec(n_vertebrae=6, fuse_pairs=((1, 2), (4, 5)), seed=2))
         # one spinous process per vertebra level, none touching the next
@@ -175,7 +189,8 @@ class TestCorruptSemantic:
 
     def test_zero_noise_is_identity(self, standard_phantom):
         _, sem, _ = standard_phantom
-        assert corrupt_semantic(sem, NoiseSpec.none()) is sem
+        noise = NoiseSpec(p_erosion=0.0, p_labeldrop=0.0, p_downup=0.0)
+        assert corrupt_semantic(sem, noise) is sem
 
     def test_deterministic(self, standard_phantom):
         _, sem, _ = standard_phantom

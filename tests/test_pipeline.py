@@ -110,8 +110,6 @@ class TestTileVolume:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="overlap"):
             TilingSpec(overlap=1.0)
-        with pytest.raises(ValueError, match="blend"):
-            TilingSpec(blend="cubic")
         with pytest.raises(ValueError, match="patch_size"):
             TilingSpec(patch_size=(0, 16, 16))
 
@@ -163,7 +161,7 @@ class TestPredictSemantic:
 
     def test_agreeing_overlap_equals_either_alone(self):
         vol = make_volume(np.zeros((48, 8, 8)), kind="intensity")
-        spec = TilingSpec(patch_size=(32, 8, 8), overlap=0.5, blend="uniform")
+        spec = TilingSpec(patch_size=(32, 8, 8), overlap=0.5)
         out = predict_semantic(vol, ConstantLabeler(5), spec)
         assert (out.data == 5).all()
 
@@ -171,7 +169,7 @@ class TestPredictSemantic:
         # two patches disagree; each voxel takes the label of the nearer
         # patch center, so the switch happens halfway between the centers
         vol = make_volume(np.zeros((48, 8, 8)), kind="intensity")
-        spec = TilingSpec(patch_size=(32, 8, 8), overlap=0.5, blend="gaussian")
+        spec = TilingSpec(patch_size=(32, 8, 8), overlap=0.5)
         out = predict_semantic(vol, OriginSwitchLabeler(), spec)
         # centers at x=15.5 and x=31.5: voxels at x<=23 nearer the first
         assert (out.data[:24] == 1).all()
@@ -299,7 +297,7 @@ def reference_predict_semantic(vol, predictors, spec):
     for origin in tile_volume(vol.dims, spec):
         sl = tuple(slice(o, min(o + p, d)) for o, p, d in zip(origin, spec.patch_size, vol.dims))
         patch = Volume(np.ascontiguousarray(vol.data[sl]), vol.spacing, vol.orientation, vol.kind)
-        w = _blend_window(patch.dims, spec.blend)
+        w = _blend_window(patch.dims)
         for p in predictors:
             out = check_answer(p.predict(patch, origin), patch.dims, 15, scores_ok=True)
             reference_accumulate(scores, sl, w, out)
@@ -345,7 +343,6 @@ class TestTilingAgainstReference:
         spec = TilingSpec(
             patch_size=tuple(int(n) for n in rng.integers(4, 13, size=3)),
             overlap=float(rng.choice([0.0, 0.25, 0.5])),
-            blend=str(rng.choice(["gaussian", "uniform"])),
         )
         members = [RandomAnswers(trial * 10 + m, str(rng.choice(self.KINDS)))
                    for m in range(int(rng.integers(1, 4)))]
@@ -395,7 +392,7 @@ class TestTilingAgainstReference:
 
     def test_ties_go_to_the_smaller_code(self):
         vol = make_volume(np.zeros((16, 4, 4)), kind="intensity")
-        spec = TilingSpec(patch_size=(8, 4, 4), overlap=0.0, blend="uniform")
+        spec = TilingSpec(patch_size=(8, 4, 4), overlap=0.0)
 
         class Tied:
             def predict(self, patch, origin):
@@ -476,7 +473,7 @@ class TestTilingAgainstReference:
     @pytest.mark.parametrize("codes", [(9, 4), (4, 9)])
     def test_disagreeing_labels_of_equal_weight_go_to_the_smaller_code(self, codes):
         vol = make_volume(np.zeros((16, 4, 4)), kind="intensity")
-        spec = TilingSpec(patch_size=(8, 4, 4), overlap=0.5, blend="uniform")
+        spec = TilingSpec(patch_size=(8, 4, 4), overlap=0.5)
         out = predict_semantic(vol, [ConstantLabeler(c) for c in codes], spec)
         assert (out.data == 4).all()
 
@@ -503,17 +500,16 @@ class TestTilingAgainstReference:
         assert stale and not any(stale)
         assert all(ref() is None for m in members for ref in m.given)
 
-    @pytest.mark.parametrize("blend", ["gaussian", "uniform"])
-    def test_blend_window_is_positive(self, blend):
+    def test_blend_window_is_positive(self):
         # each axis factor is at least exp(-8), so a window is at least
         # exp(-24): a voxel where every label answer agrees has one positive class
         floor = np.float32(np.exp(-8.0)) * np.float32(1 - 1e-6)
         for n in range(1, 513):
             for axis in range(3):
-                factor = _blend_window(tuple(n if a == axis else 1 for a in range(3)), blend)
+                factor = _blend_window(tuple(n if a == axis else 1 for a in range(3)))
                 assert factor.min() >= floor, (n, axis)
         for shape in [(512, 512, 4), (7, 9, 8), (1, 2, 3)]:
-            assert _blend_window(shape, blend).min() >= floor ** 3 > 0, shape
+            assert _blend_window(shape).min() >= floor ** 3 > 0, shape
 
     @pytest.mark.parametrize("members", [1, 3])
     def test_cut_patches_are_dropped_once_every_member_has_them(self, members):
@@ -1151,7 +1147,7 @@ class TestRunPipeline:
     def test_config_serializes_flat_in_fixed_order(self):
         assert json.dumps(PipelineConfig().to_dict()) == (
             '{"target_spacing": [0.75, 0.75, 1.65], "patch_size": [256, 256, 64], '
-            '"overlap": 0.5, "blend": "gaussian", "min_volume_fraction": 0.1, '
+            '"overlap": 0.5, "min_volume_fraction": 0.1, '
             '"cutout_size": [248, 304, 64]}'
         )
         assert PipelineConfig(target_spacing=None).to_dict()["target_spacing"] is None

@@ -523,6 +523,18 @@ class TestConcurrently:
         assert concurrently(*(self.recorder(log, name) for name in names)) == list(names)
         assert log == [(name, threading.get_ident()) for name in names]
 
+    def test_no_calls_and_a_failure_at_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(spineseg.volume, "usable_cpus", lambda: 1)
+        assert concurrently() == []
+        log = []
+
+        def fail():
+            raise KeyError("from a task")
+
+        with pytest.raises(KeyError, match="from a task"):
+            concurrently(self.recorder(log, "a"), fail, self.recorder(log, "b"))
+        assert log == [("a", threading.get_ident())]
+
     @pytest.mark.parametrize("failing", [0, 1, 2])
     def test_an_exception_reaches_the_caller_and_no_thread_is_left(self, monkeypatch, failing):
         monkeypatch.setattr(spineseg.volume, "usable_cpus", lambda: 2)
